@@ -1,11 +1,12 @@
 """Causal-resonance multi-scale skip module.
 
 Per encoder scale: build four directional views of the feature map
-(original, transposed, flipped, flipped-transposed), scan each flattened
-view with a shared selective SSM, restore the original orientation, fuse
-by averaging, and project linearly. "Flipped" defaults to full sequence
-reversal of the row-major flatten (a 180-degree spatial rotation); a
-horizontal-mirror variant is available via `flip_mode`.
+(original, transposed, flipped, flipped-transposed), scan the flattened
+views with a shared selective SSM, restore the original orientation, fuse
+by averaging, and project linearly. The views are stacked on the batch
+axis, so each scale makes one scan call. "Flipped" defaults to full
+sequence reversal of the row-major flatten (a 180-degree spatial
+rotation); a horizontal-mirror variant is available via `flip_mode`.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class CrMsmScale(Module):
         self.proj = Linear(channels, channels, rng, dtype=dtype)
 
     def _scan_view(self, x: Tensor, view: int) -> Tensor:
-        """Scan one directional view; returns a map in the source orientation."""
+        """Scan one directional view on its own; returns a map in the source
+        orientation. The conv ablation runs views this way, since a conv
+        cannot stack views whose height and width are swapped."""
         oriented = orient_map(x, view, self.cfg.flip_mode)
         h, w = oriented.shape[2], oriented.shape[3]
         if self.flags.use_ssm:
@@ -105,12 +108,28 @@ class CrMsmScale(Module):
             y = self.conv(oriented)
         return invert_orient_map(y, view, self.cfg.flip_mode)
 
+    def _scan_views(self, x: Tensor, views: range) -> list[Tensor]:
+        """Scan every view in one SSM call, the views stacked on the batch
+        axis; returns one map per view in the source orientation."""
+        mode = self.cfg.flip_mode
+        b = x.shape[0]
+        oriented = [orient_map(x, j, mode) for j in views]
+        y = self.ssm(concat([flatten_map(o) for o in oriented], axis=0))
+        maps = []
+        for i, (j, o) in enumerate(zip(views, oriented)):
+            tokens = y[i * b:(i + 1) * b]
+            maps.append(invert_orient_map(unflatten_map(tokens, o.shape[2], o.shape[3]), j, mode))
+        return maps
+
     def __call__(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        views = range(VIEW_COUNT) if self.flags.multi_view else [0]
-        maps = [self._scan_view(x, j) for j in views]
+        views = range(VIEW_COUNT if self.flags.multi_view else 1)
+        if self.flags.use_ssm:
+            maps = self._scan_views(x, views)
+        else:
+            maps = [self._scan_view(x, j) for j in views]
         if len(maps) == 1:
             fused = maps[0]
         elif self.flags.causal_fusion:

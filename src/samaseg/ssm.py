@@ -9,6 +9,20 @@ Per channel c and step t:
 
 with A = -exp(A_log) strictly negative and h_0 = 0. A `static` mode
 freezes delta/B/C as learned input-independent parameters.
+
+The recurrence h_t = dA_t * h_{t-1} + dBu_t, y_t = <C_t, h_t> over steps
+t = 0..L-1 is one fused autodiff op, `selective_scan`. Its forward loops
+over t in numpy and keeps every hidden state h_t. Its backward runs the
+adjoint recurrence in reverse (Mamba, Gu & Dao 2023, section 3.3), with
+gh_t the adjoint of h_t and gy_t that of y_t:
+
+    gh_t    = gy_t * C_t + dA_{t+1} * gh_{t+1}     (no second term at t = L-1)
+    g dBu_t = gh_t
+    g dA_t  = gh_t * h_{t-1}                       (0 at t = 0)
+    g C_t   = sum_c gy_{t,c} * h_{t,c}
+
+Both directions take L steps over [B,C,N] slices, and the op adds one node
+to the tape whatever L is.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import numpy as np
 
 from .layers import Linear, Module
 from .profiler import record_macs
-from .tensor import Tensor, stack
+from .tensor import Tensor
 
 
 class SelectiveSsm(Module):
@@ -60,10 +74,36 @@ class SelectiveSsm(Module):
         d_bu = (delta * x).reshape(b, l, c, 1) * bm.reshape(b, l, 1, n)
         record_macs(3 * b * l * c * n)
 
-        h = Tensor(np.zeros((b, c, n), dtype=x.dtype))
-        ys = []
-        for t in range(l):
-            h = d_a[:, t] * h + d_bu[:, t]
-            ys.append((h * cm[:, t].reshape(b, 1, n)).sum(axis=2))
-        y = stack(ys, axis=1)                                # [B,L,C]
+        y = selective_scan(d_a, d_bu, cm)                   # [B,L,C]
         return y + self.d_skip.reshape(1, 1, c) * x
+
+
+def selective_scan(d_a: Tensor, d_bu: Tensor, cm: Tensor) -> Tensor:
+    """Fused scan h_t = d_a[:, t] * h_{t-1} + d_bu[:, t] (zero state before
+    t = 0), y[:, t] = sum_n h_t * cm[:, t]; d_a, d_bu [B,L,C,N] and
+    cm [B,L,N] give y [B,L,C]. The backward is the adjoint in the module
+    docstring."""
+    b, l, c, n = d_a.shape
+    da, dbu, cmd = d_a.data, d_bu.data, cm.data
+    hs = np.empty_like(dbu)                                  # every h_t, kept for backward
+    hs[:, 0] = dbu[:, 0]
+    for t in range(1, l):
+        np.multiply(da[:, t], hs[:, t - 1], out=hs[:, t])
+        hs[:, t] += dbu[:, t]
+    y = (hs * cmd.reshape(b, l, 1, n)).sum(axis=3)
+
+    def bwd(g):
+        # gh_t starts as gy_t * C_t and collects dA_{t+1} * gh_{t+1} in reverse.
+        gh = g.reshape(b, l, c, 1) * cmd.reshape(b, l, 1, n)
+        for t in range(l - 2, -1, -1):
+            gh[:, t] += da[:, t + 1] * gh[:, t + 1]
+        if d_a.requires_grad:
+            g_da = np.zeros_like(da)
+            g_da[:, 1:] = gh[:, 1:] * hs[:, :-1]
+            d_a._accumulate(g_da)
+        if cm.requires_grad:
+            cm._accumulate((g.reshape(b, l, c, 1) * hs).sum(axis=2))
+        if d_bu.requires_grad:
+            d_bu._accumulate(gh)
+
+    return Tensor._op(y, (d_a, d_bu, cm), bwd)

@@ -29,6 +29,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large |x|."""
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_backward_ran")
 
@@ -262,12 +272,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        # numerically stable logistic
-        s = np.empty_like(a.data)
-        pos = a.data >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-        e = np.exp(a.data[~pos])
-        s[~pos] = e / (1.0 + e)
+        s = _stable_sigmoid(a.data)
 
         def bwd(g):
             a._accumulate(g * s * (1.0 - s))
@@ -283,12 +288,7 @@ class Tensor:
         out_data = np.logaddexp(0.0, a.data).astype(a.data.dtype)
 
         def bwd(g):
-            s = np.empty_like(a.data)
-            pos = a.data >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-            e = np.exp(a.data[~pos])
-            s[~pos] = e / (1.0 + e)
-            a._accumulate(g * s)
+            a._accumulate(g * _stable_sigmoid(a.data))
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -376,9 +376,10 @@ class Tensor:
         out_data = np.ascontiguousarray(a.data[key])
 
         def bwd(g):
-            full = np.zeros_like(a.data)
-            full[key] += g
-            a._accumulate(full)
+            # in place: a full-size zeros array per slice makes per-step slicing O(L^2)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[key] += g
 
         return Tensor._op(out_data, (a,), bwd)
 

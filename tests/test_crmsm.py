@@ -1,5 +1,6 @@
 """Multi-directional skip fusion: exact view bijections, hand-enumerated
-2x2 sequences, identity reduction, and a permutation-based oracle."""
+2x2 sequences, identity reduction, a permutation-based oracle, and the
+batched scan of all views against one scan call per view."""
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ class TestScaleOracle:
         assert not hasattr(scale, "ssm") and hasattr(scale, "conv")
         out = scale(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
         assert out.shape == (1, 2, 4, 4)
+
+
+class TestBatchedViews:
+    @pytest.mark.parametrize("multi_view", [True, False])
+    @pytest.mark.parametrize("flip_mode", ["sequence", "mirror"])
+    def test_one_scan_call_matches_per_view_calls_bitwise(self, rng, flip_mode, multi_view):
+        flags = AblationFlags(multi_view=multi_view)
+        scale = CrMsmScale(4, CrMsmConfig(state_size=3, flip_mode=flip_mode), flags, rng)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 3, 5)).astype(np.float32))
+        ssm = scale.ssm
+        calls = []
+        scale.ssm = lambda tokens: calls.append(tokens.shape) or ssm(tokens)
+        batched = scale(x).data
+        assert calls == [((4 if multi_view else 1) * 2, 15, 4)]
+
+        scale.ssm = ssm
+        scale._scan_views = lambda x, views: [scale._scan_view(x, j) for j in views]
+        assert np.array_equal(batched, scale(x).data)
 
 
 class TestPyramid:
