@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import Conv2d, GroupNorm, Linear, Module, adaptive_avg_pool2d, softmax_lastdim
-from .tensor import Tensor, stack
+from .layers import Conv2d, GroupNorm, Linear, Module, adaptive_avg_pool2d, softmax_lastdim, unfold
+from .tensor import Tensor
 
 MASK_BIAS = -1e30  # exp underflows to exactly 0, so padded keys never contribute
 
@@ -86,12 +87,8 @@ def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
 
 def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:
     """Validity of each of the k*k neighbors per pixel; [h*w, k*k] booleans."""
-    p = k // 2
-    ones = np.zeros((h + 2 * p, w + 2 * p), dtype=bool)
-    ones[p:p + h, p:p + w] = True
-    cols = [ones[dy:dy + h, dx:dx + w].reshape(-1)
-            for dy in range(k) for dx in range(k)]
-    return np.stack(cols, axis=-1)
+    inside = np.pad(np.ones((h, w), dtype=bool), k // 2)
+    return sliding_window_view(inside, (k, k)).reshape(h * w, k * k)
 
 
 class DiffAggAttention(Module):
@@ -140,7 +137,7 @@ class DiffAggAttention(Module):
     def _local_attend(self, q, k, v_map, b, hh, ww):
         cfg = self.cfg
         heads, c, kk = cfg.heads, cfg.head_dim, cfg.local_window
-        d, n, p = cfg.channels, hh * ww, cfg.local_window // 2
+        d, n = cfg.channels, hh * ww
 
         k_map = k.transpose(0, 2, 1).reshape(b, d, hh, ww)
         kn = self._gather_neighbors(k_map, b, hh, ww)          # [B,h,HW,c,k^2]
@@ -158,13 +155,9 @@ class DiffAggAttention(Module):
     def _gather_neighbors(self, x_map: Tensor, b, hh, ww) -> Tensor:
         """[B,d,H,W] -> [B,heads,HW,c,k^2] of zero-padded k x k neighborhoods."""
         cfg = self.cfg
-        kk, p = cfg.local_window, cfg.local_window // 2
-        xp = x_map.pad2d(p, p)
-        parts = [xp[:, :, dy:dy + hh, dx:dx + ww]
-                 for dy in range(kk) for dx in range(kk)]
-        nb = stack(parts, axis=-1)                              # [B,d,H,W,k^2]
-        nb = nb.reshape(b, cfg.heads, cfg.head_dim, hh * ww, kk * kk)
-        return nb.transpose(0, 1, 3, 2, 4)
+        kk = cfg.local_window
+        return unfold(x_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
+            b, cfg.heads, hh * ww, cfg.head_dim, kk * kk)
 
     def _global_attend(self, q, k, v_map, b, hh, ww):
         cfg = self.cfg

@@ -10,6 +10,7 @@ mapping parameter name -> filename -> shape, one entry per line.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -36,17 +37,22 @@ def write_stn1(path, arr: np.ndarray):
 
 
 def read_stn1(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: not an STN1 file")
-        tag, rank = struct.unpack("<BB", f.read(2))
-        if tag not in _TAG_TO_DTYPE:
-            raise ValueError(f"{path}: unknown dtype tag {tag}")
-        shape = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-        dtype = _TAG_TO_DTYPE[tag]
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(f.read(count * dtype.itemsize), dtype=dtype)
-    return data.reshape(shape).copy()
+    raw = Path(path).read_bytes()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not an STN1 file")
+    if len(raw) < 6 or len(raw) < 6 + 8 * raw[5]:
+        raise ValueError(f"{path}: truncated header")
+    tag, rank = raw[4], raw[5]
+    if tag not in _TAG_TO_DTYPE:
+        raise ValueError(f"{path}: unknown dtype tag {tag}")
+    start = 6 + 8 * rank
+    shape = struct.unpack_from(f"<{rank}Q", raw, 6)
+    dtype = _TAG_TO_DTYPE[tag]
+    size = math.prod(shape) * dtype.itemsize
+    if len(raw) != start + size:
+        raise ValueError(f"{path}: payload is {len(raw) - start} bytes, shape {shape} "
+                         f"needs {size}")
+    return np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape).copy()
 
 
 def save_checkpoint(ckpt_dir, model):
@@ -69,7 +75,11 @@ def load_checkpoint(ckpt_dir, model):
             continue
         name, fname, _ = line.split("\t")
         entries[name] = fname
-    for name, t in model.named_parameters():
+    params = dict(model.named_parameters())
+    extra = [n for n in entries if n not in params]
+    if extra:
+        raise KeyError(f"checkpoint has entries the model lacks: {', '.join(extra)}")
+    for name, t in params.items():
         if name not in entries:
             raise KeyError(f"checkpoint is missing parameter '{name}'")
         arr = read_stn1(ckpt_dir / entries[name])

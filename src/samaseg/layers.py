@@ -1,6 +1,12 @@
 """Layer primitives: Linear, Conv2D (incl. depthwise and transpose),
 GroupNorm, LayerNorm, adaptive average pooling, stable softmax.
 
+Every convolution (dense, grouped, depthwise) is one path: `unfold`, a
+single im2col autodiff op with a col2im backward, followed by one batched
+matmul per group. The local-attention neighbourhoods reuse `unfold`.
+Adaptive pooling is one op, rows @ x @ cols^T with constant averaging
+matrices.
+
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
 norm scales to 1 and shifts to 0. Convolutions use the cross-correlation
 convention (no kernel flip).
@@ -9,9 +15,9 @@ convention (no kernel flip).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .profiler import record_macs
-from .tensor import Tensor, concat, stack, uniform
+from .tensor import Tensor, uniform
 
 
 class Module:
@@ -19,15 +25,7 @@ class Module:
 
     def named_parameters(self, prefix: str = ""):
         for name, val in vars(self).items():
-            if isinstance(val, Tensor):
-                if val.requires_grad:
-                    yield prefix + name, val
-            elif isinstance(val, Module):
-                yield from val.named_parameters(f"{prefix}{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+            yield from _named_parameters(prefix + name, val)
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
@@ -38,6 +36,18 @@ class Module:
     def zero_grad(self):
         for t in self.parameters():
             t.zero_grad()
+
+
+def _named_parameters(name: str, val):
+    """Trainable tensors under `val`, recursing into modules and nested lists."""
+    if isinstance(val, Tensor):
+        if val.requires_grad:
+            yield name, val
+    elif isinstance(val, Module):
+        yield from val.named_parameters(name + ".")
+    elif isinstance(val, (list, tuple)):
+        for i, item in enumerate(val):
+            yield from _named_parameters(f"{name}.{i}", item)
 
 
 class Linear(Module):
@@ -58,9 +68,38 @@ class Linear(Module):
         return y
 
 
+def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
+           groups: int = 1) -> Tensor:
+    """im2col of [B,C,H,W] into [B,G,OH*OW,(C/G)*kh*kw] zero-padded windows.
+
+    Each row is ordered (channel, ky, kx), matching a weight reshaped to
+    [out, (C/G)*kh*kw]. The backward is col2im: one in-place add per tap
+    into a padded buffer, then a crop.
+    """
+    b, c, h, w = x.shape
+    cg, p, s = c // groups, padding, stride
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (w + 2 * p - kw) // s + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]  # [B,C,OH,OW,kh,kw]
+    win = win.reshape(b, groups, cg, oh, ow, kh, kw).transpose(0, 1, 3, 4, 2, 5, 6)
+    out_data = np.ascontiguousarray(win).reshape(b, groups, oh * ow, cg * kh * kw)
+
+    def bwd(g):
+        gt = g.reshape(b, groups, oh, ow, cg, kh, kw).transpose(0, 1, 4, 5, 6, 2, 3)
+        gp = np.zeros((b, groups, cg) + xp.shape[2:], dtype=g.dtype)
+        for ky in range(kh):
+            for kx in range(kw):
+                gp[..., ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += gt[:, :, :, ky, kx]
+        x._accumulate(gp.reshape(xp.shape)[:, :, p:p + h, p:p + w])
+
+    return Tensor._op(out_data, (x,), bwd)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw]."""
+    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw],
+    as one batched matmul of the unfolded windows per group."""
     b, c, h, w = x.shape
     out_ch, cg, kh, kw = weight.shape
     if c % groups or out_ch % groups or cg != c // groups:
@@ -70,30 +109,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    xp = x.pad2d(padding, padding)
-
-    if groups == c == out_ch and c > 1:
-        # depthwise path: weighted sum of shifted slices
-        parts = [xp[:, :, ky:ky + (oh - 1) * stride + 1:stride,
-                      kx:kx + (ow - 1) * stride + 1:stride]
-                 for ky in range(kh) for kx in range(kw)]
-        patches = stack(parts, axis=0)                       # [kh*kw,B,C,OH,OW]
-        wr = weight.transpose(2, 3, 1, 0).reshape(kh * kw, 1, c, 1, 1)
-        y = (patches * wr).sum(axis=0)
-        record_macs(b * c * kh * kw * oh * ow)
-    else:
-        outs = []
-        for g in range(groups):
-            xg = xp[:, g * cg:(g + 1) * cg] if groups > 1 else xp
-            wg = weight[g * (out_ch // groups):(g + 1) * (out_ch // groups)]
-            parts = [xg[:, :, ky:ky + (oh - 1) * stride + 1:stride,
-                          kx:kx + (ow - 1) * stride + 1:stride]
-                     for ky in range(kh) for kx in range(kw)]
-            patches = stack(parts, axis=2)                   # [B,Cg,kh*kw,OH,OW]
-            cols = patches.reshape(b, cg * kh * kw, oh * ow).transpose(0, 2, 1)
-            yg = cols @ wg.reshape(out_ch // groups, cg * kh * kw).transpose(1, 0)
-            outs.append(yg.transpose(0, 2, 1).reshape(b, out_ch // groups, oh, ow))
-        y = outs[0] if groups == 1 else concat(outs, axis=1)
+    cols = unfold(x, kh, kw, stride, padding, groups)        # [B,G,OH*OW,cg*kh*kw]
+    wm = weight.reshape(groups, out_ch // groups, cg * kh * kw).transpose(0, 2, 1)
+    y = (cols @ wm).transpose(0, 1, 3, 2).reshape(b, out_ch, oh, ow)
     if bias is not None:
         y = y + bias.reshape(1, out_ch, 1, 1)
     return y
@@ -187,18 +205,25 @@ class LayerNorm(Module):
         return norm * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
 
+def _cell_matrix(n: int, cells: int, dtype) -> np.ndarray:
+    """[cells, n] averaging matrix with torch-style floor/ceil cell edges."""
+    i = np.arange(cells)
+    lo, hi = (i * n) // cells, -(-((i + 1) * n) // cells)
+    j = np.arange(n)
+    inside = (j >= lo[:, None]) & (j < hi[:, None])
+    return (inside / (hi - lo)[:, None]).astype(dtype)
+
+
 def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Average pooling onto an out_h x out_w grid, torch-style cell edges."""
-    h, w = x.shape[-2], x.shape[-1]
-    rows = []
-    for i in range(out_h):
-        h0, h1 = (i * h) // out_h, -(-((i + 1) * h) // out_h)
-        cells = []
-        for j in range(out_w):
-            w0, w1 = (j * w) // out_w, -(-((j + 1) * w) // out_w)
-            cells.append(x[..., h0:h1, w0:w1].mean(axis=(-2, -1), keepdims=True))
-        rows.append(concat(cells, axis=-1))
-    return concat(rows, axis=-2)
+    """Average pooling onto an out_h x out_w grid, torch-style cell edges,
+    as rows @ x @ cols^T with constant averaging matrices."""
+    rows = _cell_matrix(x.shape[-2], out_h, x.dtype)
+    cols = _cell_matrix(x.shape[-1], out_w, x.dtype)
+
+    def bwd(g):
+        x._accumulate(rows.T @ g @ cols)
+
+    return Tensor._op(rows @ x.data @ cols.T, (x,), bwd)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

@@ -138,26 +138,6 @@ class SamaUNet(Module):
             self.ds_heads = [Conv2d(chans[i], cfg.num_classes, 1, rng, dtype=dtype)
                              for i in range(cfg.num_stages - 1)]
 
-    # named_parameters needs the nested stage lists
-    def named_parameters(self, prefix: str = ""):
-        yield from self.patch_embed.named_parameters(prefix + "patch_embed.")
-        for i, blocks in enumerate(self.stages):
-            for j, blk in enumerate(blocks):
-                yield from blk.named_parameters(f"{prefix}stages.{i}.{j}.")
-        for i, m in enumerate(self.downs):
-            yield from m.named_parameters(f"{prefix}downs.{i}.")
-        if self.cfg.flags.use_crmsm:
-            yield from self.crmsm.named_parameters(prefix + "crmsm.")
-        for i, m in enumerate(self.ups):
-            yield from m.named_parameters(f"{prefix}ups.{i}.")
-        for i, m in enumerate(self.dec_blocks):
-            yield from m.named_parameters(f"{prefix}dec_blocks.{i}.")
-        yield from self.final_expand.named_parameters(prefix + "final_expand.")
-        yield from self.head_full.named_parameters(prefix + "head_full.")
-        if self.cfg.deep_supervision:
-            for i, m in enumerate(self.ds_heads):
-                yield from m.named_parameters(f"{prefix}ds_heads.{i}.")
-
     def encode(self, x: Tensor) -> list[Tensor]:
         feats = []
         with mac_scope("patch_embed"):

@@ -1,9 +1,10 @@
 """Multiply-accumulate counting and the parameter/FLOPs report.
 
-Counting is op-level: matmul and the conv paths report their exact MAC
-counts as they execute, attributed to the innermost active scope. A
-forward pass under ``count_macs()`` therefore yields analytic per-layer
-counts without a separate shape-walking model. GFLOPs are reported as
+Counting is op-level: matmul (which every linear and conv layer runs
+through) and the selective scan report their exact MAC counts as they
+execute, attributed to the innermost active scope. A forward pass under
+``count_macs()`` therefore yields analytic per-layer counts without a
+separate shape-walking model. GFLOPs are reported as
 2x MACs; the convention is stated in the report header.
 """
 

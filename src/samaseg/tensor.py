@@ -392,22 +392,6 @@ class Tensor:
 
         return Tensor._op(out_data, (a,), bwd)
 
-    def pad2d(self, pad_h: int, pad_w: int) -> "Tensor":
-        """Zero-pad the trailing two axes symmetrically."""
-        a = self
-        if pad_h == 0 and pad_w == 0:
-            return a
-        widths = [(0, 0)] * (a.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-        out_data = np.pad(a.data, widths)
-        sl = tuple([slice(None)] * (a.ndim - 2)
-                   + [slice(pad_h, out_data.shape[-2] - pad_h),
-                      slice(pad_w, out_data.shape[-1] - pad_w)])
-
-        def bwd(g):
-            a._accumulate(np.ascontiguousarray(g[sl]))
-
-        return Tensor._op(out_data, (a,), bwd)
-
     def dilate2d(self, stride_h: int, stride_w: int) -> "Tensor":
         """Insert stride-1 zeros between entries of the trailing two axes."""
         a = self

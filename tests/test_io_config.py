@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samaseg.config import apply_setting, desk_default, load_config, parse_config
 from samaseg.io import (checkpoint_scalar_count, load_checkpoint, read_stn1,
                         save_checkpoint, write_pgm, write_stn1)
 from samaseg.layers import Linear, Module
+from samaseg.model import ModelConfig, SamaUNet
 from samaseg.tensor import Tensor
 
 
@@ -56,6 +59,18 @@ class TestStn1:
         with pytest.raises(ValueError):
             write_stn1(tmp_path / "x.stn1", np.zeros(3, dtype=np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64, np.uint8, np.uint16]),
+           st.lists(st.integers(0, 3), max_size=3), st.integers(1, 16), st.booleans())
+    def test_wrong_length_rejected_naming_file(self, tmp_path_factory, dtype, shape, n, pad):
+        # cuts reach into the payload, the extents and the magic alike
+        path = tmp_path_factory.mktemp("stn1") / "len.stn1"
+        write_stn1(path, np.ones(shape, dtype=dtype))
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(n) if pad else raw[:-n])
+        with pytest.raises(ValueError, match="len.stn1"):
+            read_stn1(path)
+
 
 class _TwoLayer(Module):
     def __init__(self, rng):
@@ -87,6 +102,15 @@ class TestCheckpoints:
         manifest.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(KeyError):
             load_checkpoint(tmp_path / "ck", model)
+
+    def test_extra_entries_rejected(self, tmp_path):
+        # deep-supervision heads must not load silently into a model without them
+        cfg = dict(base_channels=4, stage_depths=[1, 1], channel_mults=[1, 2], heads=1,
+                   global_pool=2)
+        save_checkpoint(tmp_path / "ck", SamaUNet(ModelConfig(**cfg), np.random.default_rng(0)))
+        plain = SamaUNet(ModelConfig(deep_supervision=False, **cfg), np.random.default_rng(0))
+        with pytest.raises(KeyError, match="ds_heads.0.weight, ds_heads.0.bias"):
+            load_checkpoint(tmp_path / "ck", plain)
 
     def test_shape_mismatch_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_conv2d, naive_softmax, randt
+from samaseg.gradcheck import grad_check
+from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
                             Module, adaptive_avg_pool2d, conv2d, softmax_lastdim)
 from samaseg.tensor import Tensor
@@ -26,10 +28,13 @@ class TestLinear:
         np.testing.assert_allclose(lin(Tensor(x)).data, expected, rtol=1e-14)
 
 
+CONV_GRID = pytest.mark.parametrize("stride,padding,groups", [
+    (1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2),
+])
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("stride,padding,groups", [
-        (1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2),
-    ])
+    @CONV_GRID
     def test_matches_loop_oracle(self, rng, stride, padding, groups):
         conv = Conv2d(4, 6, 3, rng, stride=stride, padding=padding,
                       groups=groups, dtype=np.float64)
@@ -44,6 +49,30 @@ class TestConv2d:
         expected = naive_conv2d(x, conv.weight.data, conv.bias.data,
                                 stride=1, padding=1, groups=3)
         np.testing.assert_allclose(conv(Tensor(x)).data, expected, rtol=1e-12, atol=1e-13)
+
+    @CONV_GRID
+    def test_gradients_match_finite_differences(self, rng, stride, padding, groups):
+        conv = Conv2d(4, 6, 3, rng, stride=stride, padding=padding,
+                      groups=groups, dtype=np.float64)
+        x = randt(rng, (2, 4, 5, 6))
+
+        def f(_):
+            return _weighted_sum(conv(x), np.random.default_rng(7))
+
+        assert grad_check(f, [x] + conv.parameters()) < 1e-6
+
+    def test_stride2_depthwise_matches_oracle_and_finite_differences(self, rng):
+        # the geometry of Downsample.dw
+        conv = Conv2d(3, 3, 3, rng, stride=2, padding=1, groups=3, dtype=np.float64)
+        x = randt(rng, (2, 3, 5, 6))
+        expected = naive_conv2d(x.data, conv.weight.data, conv.bias.data,
+                                stride=2, padding=1, groups=3)
+        np.testing.assert_allclose(conv(x).data, expected, rtol=1e-12, atol=1e-13)
+
+        def f(_):
+            return _weighted_sum(conv(x), np.random.default_rng(7))
+
+        assert grad_check(f, [x] + conv.parameters()) < 1e-6
 
     def test_identity_kernel(self):
         w = Tensor(np.eye(2).reshape(2, 2, 1, 1).astype(np.float64))
@@ -127,15 +156,30 @@ class TestPoolingSoftmax:
         expected = x.reshape(1, 2, 3, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
-    def test_adaptive_pool_uneven_cells(self, rng):
-        # 5 -> 2: cells cover rows [0,3) and [2,5) (floor/ceil edges)
-        x = rng.uniform(size=(1, 1, 5, 5))
-        out = adaptive_avg_pool2d(Tensor(x), 2, 2).data
-        expected = np.empty((1, 1, 2, 2))
-        for i, (r0, r1) in enumerate([(0, 3), (2, 5)]):
-            for j, (c0, c1) in enumerate([(0, 3), (2, 5)]):
-                expected[0, 0, i, j] = x[0, 0, r0:r1, c0:c1].mean()
+    @pytest.mark.parametrize("h,w,row_cells,col_cells", [
+        # floor/ceil edges; 5 -> 2 cells cover rows [0,3) and [2,5)
+        (5, 5, [(0, 3), (2, 5)], [(0, 3), (2, 5)]),
+        # output larger than input: every cell repeats the one pixel (32 px, stage 3)
+        (1, 1, [(0, 1)] * 7, [(0, 1)] * 7),
+        (3, 3, [(0, 1), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 3)],
+         [(0, 1), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 3)]),
+        (5, 3, [(0, 3), (2, 5)], [(0, 1), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 3)]),
+    ], ids=["5x5-2x2", "1x1-7x7", "3x3-7x7", "5x3-2x7"])
+    def test_adaptive_pool_uneven_cells(self, rng, h, w, row_cells, col_cells):
+        x = rng.uniform(size=(2, 3, h, w))
+        out = adaptive_avg_pool2d(Tensor(x), len(row_cells), len(col_cells)).data
+        expected = np.empty((2, 3, len(row_cells), len(col_cells)))
+        for i, (r0, r1) in enumerate(row_cells):
+            for j, (c0, c1) in enumerate(col_cells):
+                expected[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
         np.testing.assert_allclose(out, expected, rtol=1e-14)
+        xt = Tensor(x, requires_grad=True)
+
+        def f(_):
+            return _weighted_sum(adaptive_avg_pool2d(xt, len(row_cells), len(col_cells)),
+                                 np.random.default_rng(7))
+
+        assert grad_check(f, [xt]) < 1e-7
 
     def test_global_pool_is_mean(self, rng):
         x = rng.uniform(size=(2, 3, 4, 7))
@@ -168,14 +212,16 @@ class TestModuleBase:
             def __init__(self):
                 self.first = Linear(3, 4, rng)
                 self.blocks = [Linear(4, 4, rng) for _ in range(2)]
+                self.grid = [[Linear(4, 2, rng, bias=False)], (None, Linear(2, 1, rng))]
                 self.scale = Tensor(np.ones(4), requires_grad=True)
 
         toy = Toy()
         names = [n for n, _ in toy.named_parameters()]
         assert names == ["first.weight", "first.bias",
                          "blocks.0.weight", "blocks.0.bias",
-                         "blocks.1.weight", "blocks.1.bias", "scale"]
-        assert toy.num_params() == (3 * 4 + 4) + 2 * (4 * 4 + 4) + 4
+                         "blocks.1.weight", "blocks.1.bias",
+                         "grid.0.0.weight", "grid.1.1.weight", "grid.1.1.bias", "scale"]
+        assert toy.num_params() == (3 * 4 + 4) + 2 * (4 * 4 + 4) + 4 * 2 + (2 + 1) + 4
         assert names == [n for n, _ in toy.named_parameters()]
 
     def test_zero_grad(self, rng):

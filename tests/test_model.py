@@ -185,3 +185,56 @@ class TestAblationWiring:
         off = SamaUNet(tiny_cfg(flags=AblationFlags(use_mamba_macro=False)),
                        np.random.default_rng(9))
         assert on.num_params() > off.num_params()
+
+
+class TestParameterNames:
+    def test_names_and_order_unchanged_for_old_checkpoints(self):
+        # checkpoint manifests key on these names in this order; any change
+        # here stops existing checkpoints from loading
+        def wb(*mods):
+            return [f"{m}.{p}" for m in mods for p in ("weight", "bias")]
+
+        def gb(*mods):
+            return [f"{m}.{p}" for m in mods for p in ("gamma", "beta")]
+
+        def attn(kind):
+            a = f"mixer.attn_{kind}"
+            return (wb(f"{a}.wq", f"{a}.wk", f"{a}.wv", f"{a}.wo") + [f"{a}.lam"]
+                    + wb(f"{a}.pe_conv") + gb(f"{a}.gn"))
+
+        block = (gb("norm1") + wb("mixer.in_proj", "mixer.dw", "mixer.res_proj")
+                 + attn("local") + attn("global") + wb("mixer.out_proj")
+                 + gb("norm2") + wb("ffn1", "ffn2"))
+        ssm = ["ssm.a_log", "ssm.d_skip"] + wb("ssm.proj_delta", "ssm.proj_b", "ssm.proj_c")
+        expected = (wb("patch_embed.conv1", "patch_embed.conv2")
+                    + [f"stages.{i}.0.{n}" for i in range(2) for n in block]
+                    + wb("downs.0.dw", "downs.0.pw")
+                    + [f"crmsm.scales.{i}.{n}" for i in range(2) for n in ssm + wb("proj")]
+                    + wb("ups.0", "dec_blocks.0.conv1", "dec_blocks.0.conv2", "dec_blocks.0.short",
+                         "final_expand.up1", "final_expand.conv1", "final_expand.up2",
+                         "final_expand.conv2", "head_full", "ds_heads.0"))
+        model = SamaUNet(tiny_cfg(), np.random.default_rng(0))
+        assert [n for n, _ in model.named_parameters()] == expected
+        assert len(expected) == 132
+
+
+class TestGraphSize:
+    def test_overfit_step_graph_stays_small(self, monkeypatch):
+        # windows and pooling cells are one op each, not one per tap or cell;
+        # the bound keeps per-tap graphs (over 3,000 nodes here) from returning
+        op = vars(Tensor)["_op"].__func__
+        calls = []
+
+        def counted(data, parents, backward):
+            calls.append(1)
+            return op(data, parents, backward)
+
+        cfg = ModelConfig(in_channels=1, num_classes=2, base_channels=16,
+                          stage_depths=[1, 1, 1, 1])
+        model = SamaUNet(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 1, 32, 32)).astype(np.float32))
+        mask = rng.integers(0, 2, size=(2, 32, 32))
+        monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+        seg_loss(model(x), mask, cfg.num_classes)
+        assert len(calls) <= 1600

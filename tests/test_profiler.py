@@ -2,10 +2,11 @@
 linear scaling of attention and scan cost, and parameter accounting."""
 
 import numpy as np
+import pytest
 
 from samaseg.attention import AttnConfig, DiffAggAttention
 from samaseg.io import checkpoint_scalar_count, save_checkpoint
-from samaseg.layers import Linear
+from samaseg.layers import Linear, conv2d
 from samaseg.model import ModelConfig, SamaUNet
 from samaseg.profiler import build_report, count_macs, mac_scope
 from samaseg.ssm import SelectiveSsm
@@ -48,6 +49,18 @@ class TestCounting:
                 lin1(x)
         assert counter.by_scope == {"a": 16, "a/inner": 16, "b": 16}
         assert counter.total == 48
+
+    @pytest.mark.parametrize("c,out,groups,stride,padding", [
+        (4, 6, 1, 1, 1), (4, 6, 2, 1, 0), (6, 6, 6, 1, 1), (6, 6, 6, 2, 1), (4, 6, 1, 2, 1),
+    ], ids=["dense", "grouped", "depthwise", "depthwise-stride2", "dense-stride2"])
+    def test_conv_closed_form(self, rng, c, out, groups, stride, padding):
+        b, h, w, k = 2, 7, 6, 3
+        x = Tensor(np.zeros((b, c, h, w), dtype=np.float32))
+        weight = Tensor(np.zeros((out, c // groups, k, k), dtype=np.float32))
+        oh = (h + 2 * padding - k) // stride + 1
+        ow = (w + 2 * padding - k) // stride + 1
+        macs = macs_of(lambda: conv2d(x, weight, None, stride, padding, groups))
+        assert macs == b * out * oh * ow * (c // groups) * k * k
 
 
 class TestLinearComplexity:

@@ -71,10 +71,8 @@ class TestForwardValues:
         np.testing.assert_array_equal(t.flip(2).data, np.flip(a, 2))
         np.testing.assert_array_equal(t.flip((1, 2)).data, np.flip(a, (1, 2)))
 
-    def test_pad_and_dilate(self, rng):
+    def test_dilate(self, rng):
         a = rng.uniform(-1, 1, size=(1, 2, 3, 3))
-        padded = Tensor(a).pad2d(1, 2).data
-        np.testing.assert_array_equal(padded, np.pad(a, ((0, 0), (0, 0), (1, 1), (2, 2))))
         dil = Tensor(a).dilate2d(2, 2).data
         assert dil.shape == (1, 2, 5, 5)
         np.testing.assert_array_equal(dil[:, :, ::2, ::2], a)
@@ -147,9 +145,8 @@ class TestBackwardNumeric:
         x = randt(rng, (2, 2, 3))
         assert grad_check(lambda xs: fn(xs[0]), [x]) < 1e-7, name
 
-    def test_pad_dilate_grads(self, rng):
+    def test_dilate_grads(self, rng):
         x = randt(rng, (1, 2, 3, 3))
-        assert grad_check(lambda xs: (xs[0].pad2d(1, 1) * 1.5).sum(axis=(2, 3)).sum(), [x]) < 1e-8
         assert grad_check(lambda xs: (xs[0].dilate2d(2, 2) ** 2).sum(), [x]) < 1e-7
 
     def test_concat_stack_grads(self, rng):
