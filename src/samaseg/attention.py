@@ -140,8 +140,8 @@ class DiffAggAttention(Module):
         d, n = cfg.channels, hh * ww
 
         k_map = k.transpose(0, 2, 1).reshape(b, d, hh, ww)
-        kn = self._gather_neighbors(k_map, b, hh, ww)          # [B,h,HW,c,k^2]
-        vn = self._gather_neighbors(v_map, b, hh, ww).transpose(0, 1, 2, 4, 3)
+        kn = self._gather_neighbors(k_map, b, hh, ww).transpose(0, 1, 4, 2, 3)  # [B,h,HW,c,k^2]
+        vn = self._gather_neighbors(v_map, b, hh, ww).transpose(0, 1, 4, 3, 2)  # [B,h,HW,k^2,c]
         q5 = self._heads(q, b, n).reshape(b, heads, n, 1, c)
 
         valid = _neighborhood_mask(hh, ww, kk)
@@ -153,11 +153,11 @@ class DiffAggAttention(Module):
         return out.reshape(b, heads, n, c).transpose(0, 1, 3, 2).reshape(b, d, hh, ww)
 
     def _gather_neighbors(self, x_map: Tensor, b, hh, ww) -> Tensor:
-        """[B,d,H,W] -> [B,heads,HW,c,k^2] of zero-padded k x k neighborhoods."""
+        """[B,d,H,W] -> [B,heads,c,k^2,HW] of zero-padded k x k neighborhoods."""
         cfg = self.cfg
         kk = cfg.local_window
         return unfold(x_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
-            b, cfg.heads, hh * ww, cfg.head_dim, kk * kk)
+            b, cfg.heads, cfg.head_dim, kk * kk, hh * ww)
 
     def _global_attend(self, q, k, v_map, b, hh, ww):
         cfg = self.cfg

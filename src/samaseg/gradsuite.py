@@ -106,6 +106,12 @@ def check_transpose_conv(rng) -> CheckResult:
     return _check_module("transpose-conv", conv, _rand(rng, (1, 2, 3, 3)), 1e-6, rng)
 
 
+def check_transpose_conv_overlap(rng) -> CheckResult:
+    # k > s: neighbouring windows overlap, so fold accumulates several taps per pixel
+    conv = ConvTranspose2d(2, 3, 3, rng, stride=2, padding=1, dtype=np.float64)
+    return _check_module("transpose-conv-overlap", conv, _rand(rng, (1, 2, 3, 4)), 1e-6, rng)
+
+
 def check_groupnorm(rng) -> CheckResult:
     gn = GroupNorm(4, num_groups=2, dtype=np.float64)
     return _check_module("groupnorm", gn, _rand(rng, (2, 4, 3, 3)), 1e-4, rng)
@@ -179,7 +185,7 @@ MICRO_CHECKS: list[Callable] = [
 
 FULL_CHECKS: list[Callable] = MICRO_CHECKS + [
     check_diff_agg_local, check_diff_agg_global, check_sama_block,
-    check_scan, check_crmsm_scale, check_micro_model,
+    check_scan, check_crmsm_scale, check_micro_model, check_transpose_conv_overlap,
 ]
 
 

@@ -2,8 +2,11 @@
 GroupNorm, LayerNorm, adaptive average pooling, stable softmax.
 
 Every convolution (dense, grouped, depthwise) is one path: `unfold`, a
-single im2col autodiff op with a col2im backward, followed by one batched
-matmul per group. The local-attention neighbourhoods reuse `unfold`.
+channel-major im2col op giving [B,G,(C/G)*kh*kw,OH*OW] columns, then one
+batched matmul W @ cols whose result reshapes straight to [B,out,OH,OW].
+`fold` (col2im) is the exact adjoint of `unfold`, each op's backward being
+the other, so a transpose convolution is fold(W^T @ x) and never multiplies
+inserted zeros. The local-attention neighbourhoods reuse `unfold`.
 Adaptive pooling is one op, rows @ x @ cols^T with constant averaging
 matrices.
 
@@ -15,7 +18,6 @@ convention (no kernel flip).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, uniform
 
@@ -68,38 +70,72 @@ class Linear(Module):
         return y
 
 
-def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
-           groups: int = 1) -> Tensor:
-    """im2col of [B,C,H,W] into [B,G,OH*OW,(C/G)*kh*kw] zero-padded windows.
-
-    Each row is ordered (channel, ky, kx), matching a weight reshaped to
-    [out, (C/G)*kh*kw]. The backward is col2im: one in-place add per tap
-    into a padded buffer, then a crop.
-    """
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
+    """[B,C,H,W] -> [B,C,kh,kw,OH,OW] zero-padded windows, one strided copy
+    per tap, so every copy moves whole output rows."""
     b, c, h, w = x.shape
-    cg, p, s = c // groups, padding, stride
     oh = (h + 2 * p - kh) // s + 1
     ow = (w + 2 * p - kw) // s + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]  # [B,C,OH,OW,kh,kw]
-    win = win.reshape(b, groups, cg, oh, ow, kh, kw).transpose(0, 1, 3, 4, 2, 5, 6)
-    out_data = np.ascontiguousarray(win).reshape(b, groups, oh * ow, cg * kh * kw)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            cols[:, :, ky, kx] = xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s]
+    return cols
+
+
+def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
+    """Adjoint of `_im2col`: [B,C,kh,kw,OH,OW] -> [B,C,H,W], one in-place
+    add per tap into a zero-padded buffer, then a crop."""
+    b, c, kh, kw, oh, ow = cols.shape
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += cols[:, :, ky, kx]
+    return xp[:, :, p:p + h, p:p + w]
+
+
+def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
+           groups: int = 1) -> Tensor:
+    """im2col of [B,C,H,W] into channel-major [B,G,(C/G)*kh*kw,OH*OW]
+    zero-padded windows.
+
+    Rows are ordered (channel, ky, kx), matching a weight reshaped to
+    [G, out/G, (C/G)*kh*kw]. The backward is `fold` of the gradient.
+    """
+    b, c, h, w = x.shape
+    cols = _im2col(x.data, kh, kw, stride, padding)
 
     def bwd(g):
-        gt = g.reshape(b, groups, oh, ow, cg, kh, kw).transpose(0, 1, 4, 5, 6, 2, 3)
-        gp = np.zeros((b, groups, cg) + xp.shape[2:], dtype=g.dtype)
-        for ky in range(kh):
-            for kx in range(kw):
-                gp[..., ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += gt[:, :, :, ky, kx]
-        x._accumulate(gp.reshape(xp.shape)[:, :, p:p + h, p:p + w])
+        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding))
 
-    return Tensor._op(out_data, (x,), bwd)
+    return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
+
+
+def fold(cols: Tensor, h: int, w: int, kh: int, kw: int, stride: int = 1,
+         padding: int = 0) -> Tensor:
+    """col2im, the adjoint of `unfold`: sums [B,...,C*kh*kw,OH*OW] windows
+    (any grouping of the channel-major rows) back onto a [B,C,H,W] map.
+    The backward is `unfold` of the gradient."""
+    b = cols.shape[0]
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if cols.shape[-1] != oh * ow or cols.shape[-2] % (kh * kw):
+        raise ValueError(f"fold: columns {cols.shape} do not tile a {h}x{w} map "
+                         f"with kernel {kh}x{kw}, stride {stride}, padding {padding}")
+    shape6 = (b, -1, kh, kw, oh, ow)
+    out = np.ascontiguousarray(_col2im(cols.data.reshape(shape6), h, w, stride, padding))
+
+    def bwd(g):
+        cols._accumulate(_im2col(g, kh, kw, stride, padding).reshape(cols.shape))
+
+    return Tensor._op(out, (cols,), bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw],
-    as one batched matmul of the unfolded windows per group."""
+    as one batched matmul of the weight with the unfolded windows."""
     b, c, h, w = x.shape
     out_ch, cg, kh, kw = weight.shape
     if c % groups or out_ch % groups or cg != c // groups:
@@ -109,9 +145,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    cols = unfold(x, kh, kw, stride, padding, groups)        # [B,G,OH*OW,cg*kh*kw]
-    wm = weight.reshape(groups, out_ch // groups, cg * kh * kw).transpose(0, 2, 1)
-    y = (cols @ wm).transpose(0, 1, 3, 2).reshape(b, out_ch, oh, ow)
+    cols = unfold(x, kh, kw, stride, padding, groups)        # [B,G,cg*kh*kw,OH*OW]
+    wm = weight.reshape(groups, out_ch // groups, cg * kh * kw)
+    y = (wm @ cols).reshape(b, out_ch, oh, ow)
     if bias is not None:
         y = y + bias.reshape(1, out_ch, 1, 1)
     return y
@@ -134,7 +170,8 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Transpose convolution; adjoint of Conv2d with the same geometry.
+    """Transpose convolution; adjoint of Conv2d with the same geometry,
+    computed as fold(W^T @ x).
 
     Weight layout is [in, out, kh, kw]; output extent (H-1)*s - 2p + k.
     """
@@ -153,9 +190,11 @@ class ConvTranspose2d(Module):
         k, s, p = self.kernel, self.stride, self.padding
         if k - 1 - p < 0:
             raise ValueError("transpose conv requires padding <= kernel-1")
-        xd = x.dilate2d(s, s)
-        w_eq = self.weight.flip((2, 3)).transpose(1, 0, 2, 3)
-        y = conv2d(xd, w_eq, None, stride=1, padding=k - 1 - p, groups=1)
+        b, c, h, w = x.shape
+        in_ch, out_ch = self.weight.shape[:2]
+        wt = self.weight.reshape(in_ch, out_ch * k * k).transpose(1, 0)
+        cols = wt @ x.reshape(b, c, h * w)                      # [B,out*k*k,H*W]
+        y = fold(cols, (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k, k, k, s, p)
         if self.bias is not None:
             y = y + self.bias.reshape(1, -1, 1, 1)
         return y

@@ -392,23 +392,6 @@ class Tensor:
 
         return Tensor._op(out_data, (a,), bwd)
 
-    def dilate2d(self, stride_h: int, stride_w: int) -> "Tensor":
-        """Insert stride-1 zeros between entries of the trailing two axes."""
-        a = self
-        if stride_h == 1 and stride_w == 1:
-            return a
-        h, w = a.shape[-2], a.shape[-1]
-        out_shape = a.shape[:-2] + ((h - 1) * stride_h + 1, (w - 1) * stride_w + 1)
-        out_data = np.zeros(out_shape, dtype=a.data.dtype)
-        sl = tuple([slice(None)] * (a.ndim - 2)
-                   + [slice(None, None, stride_h), slice(None, None, stride_w)])
-        out_data[sl] = a.data
-
-        def bwd(g):
-            a._accumulate(np.ascontiguousarray(g[sl]))
-
-        return Tensor._op(out_data, (a,), bwd)
-
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(tensors)
@@ -422,19 +405,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accumulate(np.ascontiguousarray(g[tuple(sl)]))
-
-    return Tensor._op(out_data, parts, bwd)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(tensors)
-    out_data = np.stack([t.data for t in parts], axis=axis)
-
-    def bwd(g):
-        slices = np.moveaxis(g, axis, 0)
-        for t, gt in zip(parts, slices):
-            if t.requires_grad:
-                t._accumulate(np.ascontiguousarray(gt))
 
     return Tensor._op(out_data, parts, bwd)
 

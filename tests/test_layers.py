@@ -10,7 +10,8 @@ from conftest import naive_conv2d, naive_softmax, randt
 from samaseg.gradcheck import grad_check
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
-                            Module, adaptive_avg_pool2d, conv2d, softmax_lastdim)
+                            Module, adaptive_avg_pool2d, conv2d, fold, softmax_lastdim,
+                            unfold)
 from samaseg.tensor import Tensor
 
 
@@ -80,6 +81,25 @@ class TestConv2d:
         np.testing.assert_array_equal(conv2d(Tensor(x), w, None).data, x)
 
 
+class TestUnfoldFold:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_fold_is_adjoint_of_unfold(self, rng, k, stride, padding, groups):
+        # <unfold(x), c> == <x, fold(c)>
+        x = rng.uniform(-1, 1, size=(2, 4, 5, 6))
+        cols = unfold(Tensor(x), k, k, stride, padding, groups).data
+        c = rng.uniform(-1, 1, size=cols.shape)
+        back = fold(Tensor(c), 5, 6, k, k, stride, padding).data
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
+
+    def test_fold_rejects_columns_that_do_not_tile_the_map(self):
+        with pytest.raises(ValueError, match="do not tile"):
+            fold(Tensor(np.zeros((1, 10, 20))), 4, 5, 3, 3, 1, 1)
+
+
 class TestConvTranspose2d:
     @pytest.mark.parametrize("k,stride,padding,extent", [
         # extents chosen so the conv geometry round-trips exactly
@@ -97,6 +117,16 @@ class TestConvTranspose2d:
         y = rng.uniform(-1, 1, size=fwd.shape)
         back = ct(Tensor(y)).data
         np.testing.assert_allclose(np.vdot(fwd, y), np.vdot(x, back), rtol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1)])
+    def test_gradients_match_finite_differences(self, rng, k, stride, padding):
+        ct = ConvTranspose2d(3, 2, k, rng, stride=stride, padding=padding, dtype=np.float64)
+        x = randt(rng, (2, 3, 3, 4))
+
+        def f(_):
+            return _weighted_sum(ct(x), np.random.default_rng(7))
+
+        assert grad_check(f, [x] + ct.parameters()) < 1e-6
 
     def test_output_extent(self, rng):
         ct = ConvTranspose2d(2, 3, 2, rng, stride=2, dtype=np.float64)

@@ -6,7 +6,7 @@ import pytest
 
 from samaseg.attention import AttnConfig, DiffAggAttention
 from samaseg.io import checkpoint_scalar_count, save_checkpoint
-from samaseg.layers import Linear, conv2d
+from samaseg.layers import ConvTranspose2d, Linear, conv2d
 from samaseg.model import ModelConfig, SamaUNet
 from samaseg.profiler import build_report, count_macs, mac_scope
 from samaseg.ssm import SelectiveSsm
@@ -61,6 +61,14 @@ class TestCounting:
         ow = (w + 2 * padding - k) // stride + 1
         macs = macs_of(lambda: conv2d(x, weight, None, stride, padding, groups))
         assert macs == b * out * oh * ow * (c // groups) * k * k
+
+    @pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1)])
+    def test_transpose_conv_closed_form(self, rng, k, stride, padding):
+        # every input pixel meets every kernel tap once; no products against inserted zeros
+        b, c, out, h, w = 2, 4, 6, 5, 3
+        ct = ConvTranspose2d(c, out, k, rng, stride=stride, padding=padding, bias=False)
+        x = Tensor(np.zeros((b, c, h, w), dtype=np.float32))
+        assert macs_of(lambda: ct(x)) == b * c * out * k * k * h * w
 
 
 class TestLinearComplexity:

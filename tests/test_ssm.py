@@ -14,7 +14,7 @@ import pytest
 
 import samaseg
 from samaseg.ssm import SelectiveSsm
-from samaseg.tensor import Tensor, stack
+from samaseg.tensor import Tensor, concat
 
 
 def softplus_np(z):
@@ -67,8 +67,8 @@ def per_step_scan(ssm: SelectiveSsm, x: Tensor) -> Tensor:
     ys = []
     for t in range(l):
         h = d_a[:, t] * h + d_bu[:, t]
-        ys.append((h * cm[:, t].reshape(b, 1, n)).sum(axis=2))
-    return stack(ys, axis=1) + ssm.d_skip.reshape(1, 1, c) * x
+        ys.append((h * cm[:, t].reshape(b, 1, n)).sum(axis=2).reshape(b, 1, c))
+    return concat(ys, axis=1) + ssm.d_skip.reshape(1, 1, c) * x
 
 
 class TestScanOracle:

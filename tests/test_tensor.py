@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_matmul, randt
 from samaseg.gradcheck import grad_check
-from samaseg.tensor import Tensor, concat, stack, uniform, zeros
+from samaseg.tensor import Tensor, concat, uniform, zeros
 
 
 class TestForwardValues:
@@ -71,20 +71,11 @@ class TestForwardValues:
         np.testing.assert_array_equal(t.flip(2).data, np.flip(a, 2))
         np.testing.assert_array_equal(t.flip((1, 2)).data, np.flip(a, (1, 2)))
 
-    def test_dilate(self, rng):
-        a = rng.uniform(-1, 1, size=(1, 2, 3, 3))
-        dil = Tensor(a).dilate2d(2, 2).data
-        assert dil.shape == (1, 2, 5, 5)
-        np.testing.assert_array_equal(dil[:, :, ::2, ::2], a)
-        assert np.all(dil[:, :, 1::2] == 0)
-
     def test_concat_stack(self, rng):
         a = rng.uniform(size=(2, 3))
         b = rng.uniform(size=(2, 3))
         np.testing.assert_array_equal(concat([Tensor(a), Tensor(b)], axis=1).data,
                                       np.concatenate([a, b], axis=1))
-        np.testing.assert_array_equal(stack([Tensor(a), Tensor(b)], axis=-1).data,
-                                      np.stack([a, b], axis=-1))
 
     def test_zeros_uniform(self, rng):
         z = zeros((2, 3))
@@ -145,16 +136,10 @@ class TestBackwardNumeric:
         x = randt(rng, (2, 2, 3))
         assert grad_check(lambda xs: fn(xs[0]), [x]) < 1e-7, name
 
-    def test_dilate_grads(self, rng):
-        x = randt(rng, (1, 2, 3, 3))
-        assert grad_check(lambda xs: (xs[0].dilate2d(2, 2) ** 2).sum(), [x]) < 1e-7
-
     def test_concat_stack_grads(self, rng):
         a = randt(rng, (2, 3))
         b = randt(rng, (2, 3))
         assert grad_check(lambda xs: (concat(xs, axis=1) ** 2).sum(), [a, b]) < 1e-7
-        a.zero_grad(); b.zero_grad()
-        assert grad_check(lambda xs: (stack(xs, axis=0) * 2.0).sum(), [a, b]) < 1e-8
 
 
 class TestGraphContract:
