@@ -8,6 +8,17 @@ normalized per head, rescaled by (1 - lambda_init), and combined with a
 depthwise-conv positional term of the value map. Both branches cost a
 constant number of key tokens per query (k^2 neighbors, resp. P^2 pooled
 tokens), so the mechanism is linear in pixel count.
+
+Both branches work in one channel-major layout, [B, sub-heads, keys, HW]
+logits with the keys on axis -2, the layout `unfold` and every conv use.
+The differential halves are sub-heads: 2*heads sub-heads of c/2 channels
+each (plain attention: one sub-head of c channels per head), so one
+softmax over the keys serves both modes and `use_differential` only sets
+the sub-head count. The local branch contracts the queries with unfold's
+[B,sub-heads,c/2,k^2,HW] key columns over the channel axis, and the
+weights with the value columns over the key axis; the global branch is
+two matmuls with the pooled tokens. Each returns [B,heads,c,HW], which
+reshapes straight to the [B,d,H,W] map.
 """
 
 from __future__ import annotations
@@ -17,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import Conv2d, GroupNorm, Linear, Module, adaptive_avg_pool2d, softmax_lastdim, unfold
-from .tensor import Tensor
+from .layers import Conv2d, GroupNorm, Linear, Module, adaptive_avg_pool2d, softmax, unfold
+from .tensor import Tensor, contract
 
 MASK_BIAS = -1e30  # exp underflows to exactly 0, so padded keys never contribute
 
@@ -49,40 +60,29 @@ class AttnConfig:
         return self.channels // self.heads
 
 
-def _attend(q: Tensor, kt: Tensor, v: Tensor, lam: Tensor | None,
-            use_differential: bool, mask_bias: Tensor | None = None) -> Tensor:
-    """Core attention: q [...,n,c], kt [...,c,m], v [...,m,cv].
-
-    With `use_differential`, q/k are split into channel halves, each scaled
-    by 1/sqrt(c/2), and the attention map is softmax1 - lam * softmax2.
-    `mask_bias` (broadcastable to the logits) carries MASK_BIAS at invalid
-    key positions.
-    """
-    c = q.shape[-1]
-    if use_differential:
-        if c % 2:
-            raise ValueError(f"differential attention needs an even channel count, got {c}")
-        c2 = c // 2
-        scale = 1.0 / (c2 ** 0.5)
-        l1 = (q[..., :c2] @ kt[..., :c2, :]) * scale
-        l2 = (q[..., c2:] @ kt[..., c2:, :]) * scale
-        if mask_bias is not None:
-            l1 = l1 + mask_bias
-            l2 = l2 + mask_bias
-        attn = softmax_lastdim(l1) - lam * softmax_lastdim(l2)
-    else:
-        logits = (q @ kt) * (1.0 / (c ** 0.5))
-        if mask_bias is not None:
-            logits = logits + mask_bias
-        attn = softmax_lastdim(logits)
-    return attn @ v
+def _key_softmax(logits: Tensor, lam: Tensor | None, heads: int) -> Tensor:
+    """Attention weights from [B,sub-heads,keys,HW] logits: softmax over the
+    keys, then s1 - lam * s2 when each head has two sub-heads (the
+    differential halves). Returns [B,heads,keys,HW]."""
+    s = softmax(logits, axis=-2)
+    if s.shape[1] == heads:
+        return s
+    return s[:, 0::2] - lam.reshape(1, heads, 1, 1) * s[:, 1::2]
 
 
 def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
     """Differential softmax attention for q [h,n,c], k [h,m,c], v [h,m,cv],
     lam [h]; returns [h,n,cv]."""
-    h = q.shape[0]
-    return _attend(q, k.transpose(0, 2, 1), v, lam.reshape(h, 1, 1), use_differential=True)
+    h, n, c = q.shape
+    m = k.shape[1]
+    if c % 2:
+        raise ValueError(f"differential attention needs an even channel count, got {c}")
+    c2 = c // 2
+    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 1, 3)            # [h,2,m,c/2]
+    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1)            # [h,2,c/2,n]
+    logits = (ks @ qs).reshape(1, 2 * h, m, n) * (1.0 / c2 ** 0.5)
+    attn = _key_softmax(logits, lam, h).reshape(h, m, n)
+    return attn.transpose(0, 2, 1) @ v
 
 
 def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:
@@ -107,73 +107,56 @@ class DiffAggAttention(Module):
         self.lam = Tensor(np.full(cfg.heads, cfg.lambda_init, dtype=dtype), requires_grad=True)
         self.pe_conv = Conv2d(d, d, 3, rng, stride=1, padding=1, groups=d, dtype=dtype)
         self.gn = GroupNorm(d, num_groups=cfg.heads, dtype=dtype)
+        self.sub_heads = cfg.heads * 2 if cfg.use_differential else cfg.heads
 
     def __call__(self, x: Tensor) -> Tensor:
         b, d, hh, ww = x.shape
         if d != self.cfg.channels:
             raise ValueError(f"expected {self.cfg.channels} channels, got {d}")
-        heads, c = self.cfg.heads, self.cfg.head_dim
         n = hh * ww
 
         tokens = x.reshape(b, d, n).transpose(0, 2, 1)
-        q = self.wq(tokens)
-        k = self.wk(tokens)
-        v = self.wv(tokens)
-        v_map = v.transpose(0, 2, 1).reshape(b, d, hh, ww)
+        q = self.wq(tokens).transpose(0, 2, 1)                   # [B,d,HW]
+        k_map = self.wk(tokens).transpose(0, 2, 1).reshape(b, d, hh, ww)
+        v_map = self.wv(tokens).transpose(0, 2, 1).reshape(b, d, hh, ww)
         pe = self.pe_conv(v_map)
 
         if self.kind == "local":
-            attn_map = self._local_attend(q, k, v_map, b, hh, ww)
+            attn_map = self._local_attend(q, k_map, v_map)
         else:
-            attn_map = self._global_attend(q, k, v_map, b, hh, ww)
+            attn_map = self._global_attend(q, k_map, v_map)
 
-        out = self.gn(attn_map) * (1.0 - self.cfg.lambda_init) + pe
+        out = self.gn(attn_map.reshape(b, d, hh, ww)) * (1.0 - self.cfg.lambda_init) + pe
         out_tokens = self.wo(out.reshape(b, d, n).transpose(0, 2, 1))
         return out_tokens.transpose(0, 2, 1).reshape(b, d, hh, ww)
 
-    def _heads(self, tokens: Tensor, b: int, n: int) -> Tensor:
-        return tokens.reshape(b, n, self.cfg.heads, self.cfg.head_dim).transpose(0, 2, 1, 3)
-
-    def _local_attend(self, q, k, v_map, b, hh, ww):
+    def _local_attend(self, q, k_map, v_map):
+        """Attention over each pixel's zero-padded k x k neighbourhood, read
+        straight from unfold's [B,G,c*k^2,HW] columns; [B,heads,c,HW]."""
         cfg = self.cfg
-        heads, c, kk = cfg.heads, cfg.head_dim, cfg.local_window
-        d, n = cfg.channels, hh * ww
+        b, d, hh, ww = v_map.shape
+        sub, kk, n = self.sub_heads, cfg.local_window, hh * ww
+        cs = d // sub
 
-        k_map = k.transpose(0, 2, 1).reshape(b, d, hh, ww)
-        kn = self._gather_neighbors(k_map, b, hh, ww).transpose(0, 1, 4, 2, 3)  # [B,h,HW,c,k^2]
-        vn = self._gather_neighbors(v_map, b, hh, ww).transpose(0, 1, 4, 3, 2)  # [B,h,HW,k^2,c]
-        q5 = self._heads(q, b, n).reshape(b, heads, n, 1, c)
+        kn = unfold(k_map, kk, kk, 1, kk // 2, sub).reshape(b, sub, cs, kk * kk, n)
+        logits = contract(q.reshape(b, sub, cs, 1, n), kn, axis=2) * (1.0 / cs ** 0.5)
+        valid = _neighborhood_mask(hh, ww, kk).T
+        mask_bias = Tensor(np.where(valid, 0.0, MASK_BIAS).astype(q.dtype))
+        attn = _key_softmax(logits + mask_bias, self.lam, cfg.heads)   # [B,h,k^2,HW]
 
-        valid = _neighborhood_mask(hh, ww, kk)
-        bias = np.where(valid, 0.0, MASK_BIAS).astype(q.data.dtype)
-        mask_bias = Tensor(bias.reshape(1, 1, n, 1, kk * kk))
+        vn = unfold(v_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
+            b, cfg.heads, cfg.head_dim, kk * kk, n)
+        return contract(attn.reshape(b, cfg.heads, 1, kk * kk, n), vn, axis=3)
 
-        out = _attend(q5, kn, vn, self.lam.reshape(1, heads, 1, 1, 1),
-                      cfg.use_differential, mask_bias)          # [B,h,HW,1,c]
-        return out.reshape(b, heads, n, c).transpose(0, 1, 3, 2).reshape(b, d, hh, ww)
-
-    def _gather_neighbors(self, x_map: Tensor, b, hh, ww) -> Tensor:
-        """[B,d,H,W] -> [B,heads,c,k^2,HW] of zero-padded k x k neighborhoods."""
+    def _global_attend(self, q, k_map, v_map):
+        """Attention over the P x P pooled tokens; [B,heads,c,HW]."""
         cfg = self.cfg
-        kk = cfg.local_window
-        return unfold(x_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
-            b, cfg.heads, cfg.head_dim, kk * kk, hh * ww)
+        b, d, hh, ww = v_map.shape
+        sub, pp, n = self.sub_heads, cfg.global_pool, hh * ww
+        cs, m = d // sub, pp * pp
 
-    def _global_attend(self, q, k, v_map, b, hh, ww):
-        cfg = self.cfg
-        heads, c, d = cfg.heads, cfg.head_dim, cfg.channels
-        n = hh * ww
-        pp = cfg.global_pool
-        m = pp * pp
-
-        k_map = k.transpose(0, 2, 1).reshape(b, d, hh, ww)
-        k_pool = adaptive_avg_pool2d(k_map, pp, pp).reshape(b, d, m)
-        v_pool = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, d, m)
-
-        kt = k_pool.reshape(b, heads, c, m)                     # [B,h,c,P^2]
-        vp = v_pool.reshape(b, heads, c, m).transpose(0, 1, 3, 2)
-        q4 = self._heads(q, b, n)                               # [B,h,HW,c]
-
-        out = _attend(q4, kt, vp, self.lam.reshape(1, heads, 1, 1),
-                      cfg.use_differential)                     # [B,h,HW,c]
-        return out.transpose(0, 1, 3, 2).reshape(b, d, hh, ww)
+        kt = adaptive_avg_pool2d(k_map, pp, pp).reshape(b, sub, cs, m).transpose(0, 1, 3, 2)
+        logits = (kt @ q.reshape(b, sub, cs, n)) * (1.0 / cs ** 0.5)   # [B,sub,P^2,HW]
+        attn = _key_softmax(logits, self.lam, cfg.heads)
+        vp = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, cfg.heads, cfg.head_dim, m)
+        return vp @ attn

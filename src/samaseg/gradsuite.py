@@ -15,7 +15,7 @@ import numpy as np
 from .attention import AttnConfig, DiffAggAttention
 from .crmsm import CrMsmConfig, CrMsmScale
 from .gradcheck import grad_check
-from .layers import Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear, softmax_lastdim
+from .layers import Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear, softmax
 from .model import ModelConfig, SamaUNet, seg_loss
 from .sama import AblationFlags, SamaBlock, SamaConfig
 from .ssm import SelectiveSsm
@@ -86,7 +86,7 @@ def check_softmax(rng) -> CheckResult:
     x = _rand(rng, (3, 5))
 
     def f(xs):
-        return _weighted_sum(softmax_lastdim(xs[0]), np.random.default_rng(7))
+        return _weighted_sum(softmax(xs[0]), np.random.default_rng(7))
 
     return CheckResult("softmax", grad_check(f, [x]), 1e-5)
 

@@ -265,11 +265,7 @@ def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return Tensor._op(rows @ x.data @ cols.T, (x,), bwd)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    m = x.max_const(axis=-1, keepdims=True)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    m = x.max_const(axis=axis, keepdims=True)
     e = (x - Tensor(m)).exp()
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def silu(x: Tensor) -> Tensor:
-    return x.silu()
+    return e / e.sum(axis=axis, keepdims=True)

@@ -248,18 +248,14 @@ def seg_loss(logits: list[Tensor], mask: np.ndarray, num_classes: int,
         logp = log_softmax_classes(head)
         ce = -(logp * onehot_t).sum(axis=1).mean()
 
-        p = logp.exp()
-        dice_terms = []
-        for c in range(1, k):
-            pc = p[:, c]
-            gc = onehot_t[:, c]
-            inter = (pc * gc).sum()
-            dice_terms.append((inter * 2.0 + eps) / (pc.sum() + gc.sum() + eps))
-        if dice_terms:
-            dice = dice_terms[0]
-            for t in dice_terms[1:]:
-                dice = dice + t
-            dice_loss = 1.0 - dice * (1.0 / len(dice_terms))
+        if k > 1:
+            # soft Dice of every foreground class at once: sums over batch and pixels
+            p = logp.exp()[:, 1:]
+            g = onehot[:, 1:]
+            axes = (0, 2, 3)
+            inter = (p * Tensor(g)).sum(axis=axes)
+            denom = p.sum(axis=axes) + Tensor(g.sum(axis=axes)) + eps
+            dice_loss = 1.0 - ((inter * 2.0 + eps) / denom).mean()
         else:
             dice_loss = Tensor(np.zeros((), dtype=head.dtype))
         head_loss = ce + dice_loss

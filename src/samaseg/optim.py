@@ -23,10 +23,6 @@ class AdamW:
         self.m = [np.zeros_like(t.data) for _, t in self.named_params]
         self.v = [np.zeros_like(t.data) for _, t in self.named_params]
 
-    def zero_grad(self):
-        for _, t in self.named_params:
-            t.zero_grad()
-
     def step(self):
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2

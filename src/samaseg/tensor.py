@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .profiler import record_macs
 
@@ -27,16 +28,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow for large |x|."""
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    s[~pos] = e / (1.0 + e)
-    return s
 
 
 class Tensor:
@@ -272,7 +263,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        s = _stable_sigmoid(a.data)
+        s = expit(a.data)
 
         def bwd(g):
             a._accumulate(g * s * (1.0 - s))
@@ -288,7 +279,7 @@ class Tensor:
         out_data = np.logaddexp(0.0, a.data).astype(a.data.dtype)
 
         def bwd(g):
-            a._accumulate(g * _stable_sigmoid(a.data))
+            a._accumulate(g * expit(a.data))
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -407,6 +398,24 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(np.ascontiguousarray(g[tuple(sl)]))
 
     return Tensor._op(out_data, parts, bwd)
+
+
+def contract(a: Tensor, b: Tensor, axis) -> Tensor:
+    """Sum over `axis` (an int or a tuple) of the broadcast product a * b,
+    as one op whose backward needs only a and b, so the graph never keeps
+    the full-size product. Records the product's size as MACs."""
+    full = np.broadcast_shapes(a.shape, b.shape)
+    out_data = np.asarray((a.data * b.data).sum(axis=axis))
+    record_macs(int(np.prod(full)))
+
+    def bwd(g):
+        g = np.expand_dims(g, axis)
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(np.broadcast_to(g * b.data, full), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.broadcast_to(g * a.data, full), b.shape))
+
+    return Tensor._op(out_data, (a, b), bwd)
 
 
 def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:

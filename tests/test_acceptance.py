@@ -14,7 +14,7 @@ from samaseg.crmsm import VIEW_COUNT, CrMsmConfig, CrMsmScale, invert_orient_map
 from samaseg.data import SyntheticSpec, make_sample
 from samaseg.gradsuite import run_suite
 from samaseg.io import checkpoint_scalar_count, save_checkpoint
-from samaseg.layers import softmax_lastdim
+from samaseg.layers import softmax
 from samaseg.metrics import NsdConfig, dsc, nsd
 from samaseg.model import ModelConfig, SamaUNet, seg_loss
 from samaseg.profiler import build_report, count_macs
@@ -61,7 +61,7 @@ def test_criterion_2_differential_attention_algebra():
         lam = rng.uniform(0.1, 0.9, size=h)
         # softmax rows sum to 1
         logits = rng.uniform(-5, 5, size=(h, n, m))
-        rows = softmax_lastdim(Tensor(logits)).data.sum(axis=-1)
+        rows = softmax(Tensor(logits)).data.sum(axis=-1)
         ok &= bool(np.all(np.abs(rows - 1.0) <= 1e-6))
         # differential rows sum to 1 - lambda (read off via all-ones values)
         ones = np.ones((h, m, 1))

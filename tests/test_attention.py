@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_conv2d, naive_softmax
-from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _attend,
+from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _key_softmax,
                                _neighborhood_mask, diff_softmax)
 from samaseg.tensor import Tensor
 
@@ -77,28 +77,27 @@ class TestDiffSoftmaxAlgebra:
         np.testing.assert_allclose(out.data, plain, atol=1e-6)
 
     def test_plain_mode_softmax_rows_sum_to_one(self, rng):
-        q = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
-        k = Tensor(rng.uniform(-1, 1, size=(2, 5, 4)))
-        v = Tensor(np.ones((2, 5, 1)))
-        out = _attend(q, k.transpose(0, 2, 1), v, None, use_differential=False)
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
+        # one sub-head per head: plain softmax over the keys (axis -2)
+        logits = Tensor(rng.uniform(-3, 3, size=(2, 3, 5, 4)))
+        attn = _key_softmax(logits, None, heads=3)
+        assert attn.shape == (2, 3, 5, 4)
+        np.testing.assert_allclose(attn.data.sum(axis=-2), 1.0, atol=1e-6)
 
 
 class TestMasking:
     def test_masked_keys_never_contribute(self, rng):
         # bit-identical output no matter what sits at masked key positions
-        q = Tensor(rng.uniform(-1, 1, size=(1, 3, 4)))
-        kt = rng.uniform(-1, 1, size=(1, 4, 5))
-        v = rng.uniform(-1, 1, size=(1, 5, 2))
-        bias = np.zeros((1, 3, 5))
-        bias[:, :, 3:] = MASK_BIAS
+        logits = rng.uniform(-1, 1, size=(1, 2, 5, 3))      # 1 head, 2 sub-heads, 5 keys
+        v = rng.uniform(-1, 1, size=(1, 1, 2, 5))
+        bias = np.zeros((5, 3))
+        bias[3:] = MASK_BIAS
         lam = Tensor(np.array([0.8]))
 
-        out1 = _attend(q, Tensor(kt), Tensor(v), lam, True, Tensor(bias)).data
-        kt2, v2 = kt.copy(), v.copy()
-        kt2[:, :, 3:] = 1e6
-        v2[:, 3:] = -42.0
-        out2 = _attend(q, Tensor(kt2), Tensor(v2), lam, True, Tensor(bias)).data
+        out1 = (Tensor(v) @ _key_softmax(Tensor(logits + bias), lam, heads=1)).data
+        logits2, v2 = logits.copy(), v.copy()
+        logits2[:, :, 3:] = 1e6
+        v2[..., 3:] = -42.0
+        out2 = (Tensor(v2) @ _key_softmax(Tensor(logits2 + bias), lam, heads=1)).data
         assert np.array_equal(out1, out2)
 
     def test_neighborhood_mask_enumerated_2x2(self):
@@ -141,7 +140,16 @@ def _branch_oracle(attn: DiffAggAttention, x: np.ndarray) -> np.ndarray:
 
     attn_map = np.zeros_like(v_map)
     c2 = c // 2
-    scale = 1.0 / math.sqrt(c2)
+    scale = 1.0 / math.sqrt(c2 if cfg.use_differential else c)
+
+    def weights(keys, qv, hd):
+        # keys [m,c], qv [c] -> attention weights over the m keys
+        if not cfg.use_differential:
+            return naive_softmax(keys @ qv * scale)
+        a1 = naive_softmax(keys[:, :c2] @ qv[:c2] * scale)
+        a2 = naive_softmax(keys[:, c2:] @ qv[c2:] * scale)
+        return a1 - lam[hd] * a2
+
     if attn.kind == "local":
         p = cfg.local_window // 2
         for n in range(b):
@@ -159,10 +167,7 @@ def _branch_oracle(attn: DiffAggAttention, x: np.ndarray) -> np.ndarray:
                                     vals.append(v_map[n, ch, ii, jj])
                         keys = np.stack(keys)
                         vals = np.stack(vals)
-                        qv = q[n, i * ww + j, ch]
-                        a1 = naive_softmax(keys[:, :c2] @ qv[:c2] * scale)
-                        a2 = naive_softmax(keys[:, c2:] @ qv[c2:] * scale)
-                        attn_map[n, ch, i, j] = (a1 - lam[hd] * a2) @ vals
+                        attn_map[n, ch, i, j] = weights(keys, q[n, i * ww + j, ch], hd) @ vals
     else:
         pp = cfg.global_pool
         assert hh % pp == 0 and ww % pp == 0  # oracle handles exact divisors only
@@ -174,10 +179,8 @@ def _branch_oracle(attn: DiffAggAttention, x: np.ndarray) -> np.ndarray:
             for hd in range(heads):
                 ch = slice(hd * c, (hd + 1) * c)
                 for t in range(hh * ww):
-                    qv = q[n, t, ch]
-                    a1 = naive_softmax(kp[n, ch][:c2].T @ qv[:c2] * scale)
-                    a2 = naive_softmax(kp[n, ch][c2:].T @ qv[c2:] * scale)
-                    attn_map[n, ch, t // ww, t % ww] = vp[n, ch] @ (a1 - lam[hd] * a2)
+                    a = weights(kp[n, ch].T, q[n, t, ch], hd)
+                    attn_map[n, ch, t // ww, t % ww] = vp[n, ch] @ a
 
     out = _group_norm_np(attn_map, heads) * (1.0 - cfg.lambda_init) + pe
     out_tokens = out.reshape(b, d, hh * ww).transpose(0, 2, 1) @ attn.wo.weight.data.T \
@@ -186,15 +189,19 @@ def _branch_oracle(attn: DiffAggAttention, x: np.ndarray) -> np.ndarray:
 
 
 class TestBranches:
-    def test_local_branch_matches_pixel_loop_oracle(self, rng):
-        cfg = AttnConfig(channels=4, heads=2, local_window=3, global_pool=2)
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_local_branch_matches_pixel_loop_oracle(self, rng, use_differential):
+        cfg = AttnConfig(channels=4, heads=2, local_window=3, global_pool=2,
+                         use_differential=use_differential)
         attn = DiffAggAttention(cfg, "local", rng, dtype=np.float64)
         x = rng.uniform(-1, 1, size=(2, 4, 3, 4))
         np.testing.assert_allclose(attn(Tensor(x)).data, _branch_oracle(attn, x),
                                    rtol=1e-9, atol=1e-11)
 
-    def test_global_branch_matches_pooled_loop_oracle(self, rng):
-        cfg = AttnConfig(channels=4, heads=2, local_window=3, global_pool=2)
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_global_branch_matches_pooled_loop_oracle(self, rng, use_differential):
+        cfg = AttnConfig(channels=4, heads=2, local_window=3, global_pool=2,
+                         use_differential=use_differential)
         attn = DiffAggAttention(cfg, "global", rng, dtype=np.float64)
         x = rng.uniform(-1, 1, size=(2, 4, 4, 4))
         np.testing.assert_allclose(attn(Tensor(x)).data, _branch_oracle(attn, x),

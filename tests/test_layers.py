@@ -10,7 +10,7 @@ from conftest import naive_conv2d, naive_softmax, randt
 from samaseg.gradcheck import grad_check
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
-                            Module, adaptive_avg_pool2d, conv2d, fold, softmax_lastdim,
+                            Module, adaptive_avg_pool2d, conv2d, fold, softmax,
                             unfold)
 from samaseg.tensor import Tensor
 
@@ -218,21 +218,21 @@ class TestPoolingSoftmax:
 
     def test_softmax_matches_oracle(self, rng):
         z = rng.uniform(-5, 5, size=(3, 4, 6))
-        np.testing.assert_allclose(softmax_lastdim(Tensor(z)).data, naive_softmax(z),
+        np.testing.assert_allclose(softmax(Tensor(z)).data, naive_softmax(z),
                                    rtol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     def test_softmax_rows_sum_to_one(self, n, m, seed):
         z = np.random.default_rng(seed).uniform(-30, 30, size=(n, m))
-        s = softmax_lastdim(Tensor(z)).data
+        s = softmax(Tensor(z)).data
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(s >= 0)
 
     def test_softmax_shift_invariance(self, rng):
         z = rng.uniform(-2, 2, size=(2, 5))
-        a = softmax_lastdim(Tensor(z)).data
-        b = softmax_lastdim(Tensor(z + 123.0)).data
+        a = softmax(Tensor(z)).data
+        b = softmax(Tensor(z + 123.0)).data
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 

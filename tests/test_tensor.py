@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import naive_matmul, randt
 from samaseg.gradcheck import grad_check
-from samaseg.tensor import Tensor, concat, uniform, zeros
+from samaseg.profiler import count_macs
+from samaseg.tensor import Tensor, concat, contract, uniform, zeros
 
 
 class TestForwardValues:
@@ -140,6 +141,36 @@ class TestBackwardNumeric:
         a = randt(rng, (2, 3))
         b = randt(rng, (2, 3))
         assert grad_check(lambda xs: (concat(xs, axis=1) ** 2).sum(), [a, b]) < 1e-7
+
+
+CONTRACT_CASES = [
+    ((2, 3, 1, 5), (2, 3, 4, 5), 2),         # a broadcasts (local-attention logits)
+    ((2, 1, 4, 5), (2, 3, 4, 5), 1),         # a broadcasts along the summed axis
+    ((2, 3, 4, 5), (3, 1, 5), 3),            # b broadcasts, with fewer dims
+    ((3, 4, 5), (2, 3, 1, 5), (0, 3)),       # tuple axis over a broadcast axis
+    ((4, 5), (4, 5), -1),
+]
+
+
+class TestContract:
+    @pytest.mark.parametrize("sa,sb,axis", CONTRACT_CASES)
+    def test_matches_sum_of_product(self, rng, sa, sb, axis):
+        a = rng.uniform(-1, 1, size=sa)
+        b = rng.uniform(-1, 1, size=sb)
+        np.testing.assert_allclose(contract(Tensor(a), Tensor(b), axis).data,
+                                   (a * b).sum(axis), rtol=1e-14)
+
+    @pytest.mark.parametrize("sa,sb,axis", CONTRACT_CASES)
+    def test_gradients_match_finite_differences(self, rng, sa, sb, axis):
+        a, b = randt(rng, sa), randt(rng, sb)
+        w = rng.uniform(-1, 1, size=np.sum(np.ones(np.broadcast_shapes(sa, sb)), axis).shape)
+        assert grad_check(lambda xs: (contract(xs[0], xs[1], axis) * w).sum(), [a, b]) < 1e-7
+
+    @pytest.mark.parametrize("sa,sb,axis", CONTRACT_CASES)
+    def test_macs_are_product_size(self, rng, sa, sb, axis):
+        with count_macs() as counter:
+            contract(Tensor(np.ones(sa)), Tensor(np.ones(sb)), axis)
+        assert counter.total == int(np.prod(np.broadcast_shapes(sa, sb)))
 
 
 class TestGraphContract:
