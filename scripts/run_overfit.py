@@ -16,8 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from samaseg.data import SyntheticSpec, generate_dataset
 from samaseg.metrics import NsdConfig, evaluate_pair
-from samaseg.model import ModelConfig, SamaUNet
-from samaseg.tensor import Tensor
+from samaseg.model import ModelConfig, SamaUNet, predict
 from samaseg.train import TrainConfig, train
 
 
@@ -52,7 +51,7 @@ def main() -> int:
 
     print("\nfinal metrics on the training set:")
     for s in dataset:
-        pred = model(Tensor(s.image[None]))[0].data.argmax(axis=1)[0]
+        pred = predict(model, s.image[None])[0]
         for row in evaluate_pair(s.mask, pred, args.classes, NsdConfig(tau=1.0)):
             print(f"  sample {s.sample_id}  class {row['class_id']}  "
                   f"dsc {row['dsc']:.4f}  nsd {row['nsd']:.4f}  {row['flags']}")

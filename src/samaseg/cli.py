@@ -14,7 +14,7 @@ from .data import SyntheticSpec, generate_dataset, load_dataset
 from .gradsuite import run_suite
 from .io import load_checkpoint, write_pgm
 from .metrics import evaluate_pair
-from .model import SamaUNet
+from .model import SamaUNet, predict
 from .profiler import build_report
 from .tensor import Tensor
 from .train import train
@@ -111,8 +111,7 @@ def _cmd_eval(args) -> int:
         Path(args.pgm_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for s in dataset:
-        logits = model(Tensor(s.image[None]))
-        pred = logits[0].data.argmax(axis=1)[0]
+        pred = predict(model, s.image[None])[0]
         for r in evaluate_pair(s.mask, pred, cfg.model.num_classes, cfg.eval):
             rows.append({"sample_id": s.sample_id, **r})
         if args.pgm_dir:

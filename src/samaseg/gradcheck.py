@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 EPS = 1e-8
 
@@ -47,31 +47,25 @@ def grad_check(f: Callable[[Sequence[Tensor]], Tensor],
     out.backward()
     analytic = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in xs]
 
-    # FD evaluations need no graph
-    for x in xs:
-        x.requires_grad = False
-
     max_err = 0.0
-    for x, a in zip(xs, analytic):
-        flat = x.data.reshape(-1)
-        n = flat.size
-        if max_elems_per_tensor is not None and n > max_elems_per_tensor:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idx = rng.choice(n, size=max_elems_per_tensor, replace=False)
-        else:
-            idx = range(n)
-        a_flat = a.reshape(-1)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f(xs).data.reshape(()))
-            flat[i] = orig - h
-            fm = float(f(xs).data.reshape(()))
-            flat[i] = orig
-            cd = (fp - fm) / (2.0 * h)
-            max_err = max(max_err, relative_error(float(a_flat[i]), cd, zero_floor))
-
-    for x in xs:
-        x.requires_grad = True
+    with no_grad():                                  # FD evaluations need no graph
+        for x, a in zip(xs, analytic):
+            flat = x.data.reshape(-1)
+            n = flat.size
+            if max_elems_per_tensor is not None and n > max_elems_per_tensor:
+                if rng is None:
+                    rng = np.random.default_rng(0)
+                idx = rng.choice(n, size=max_elems_per_tensor, replace=False)
+            else:
+                idx = range(n)
+            a_flat = a.reshape(-1)
+            for i in idx:
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(f(xs).data.reshape(()))
+                flat[i] = orig - h
+                fm = float(f(xs).data.reshape(()))
+                flat[i] = orig
+                cd = (fp - fm) / (2.0 * h)
+                max_err = max(max_err, relative_error(float(a_flat[i]), cd, zero_floor))
     return max_err

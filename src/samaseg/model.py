@@ -14,7 +14,7 @@ from .crmsm import CrMsm, CrMsmConfig
 from .layers import Conv2d, ConvTranspose2d, Module
 from .profiler import mac_scope
 from .sama import AblationFlags, SamaBlock, SamaConfig
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_grad
 
 
 @dataclass
@@ -202,6 +202,14 @@ class SamaUNet(Module):
             # fine -> coarse
             return [full] + ds_logits[::-1]
         return [full]
+
+
+def predict(model: SamaUNet, images: np.ndarray) -> np.ndarray:
+    """Per-pixel class labels [B,H,W] of images [B,C,H,W]: the argmax over
+    classes of the finest logits, from a forward that records no tape."""
+    with no_grad():
+        logits = model(Tensor(images))[0]
+    return logits.data.argmax(axis=1)
 
 
 def log_softmax_classes(logits: Tensor) -> Tensor:

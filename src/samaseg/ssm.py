@@ -10,19 +10,30 @@ Per channel c and step t:
 with A = -exp(A_log) strictly negative and h_0 = 0. A `static` mode
 freezes delta/B/C as learned input-independent parameters.
 
-The recurrence h_t = dA_t * h_{t-1} + dBu_t, y_t = <C_t, h_t> over steps
-t = 0..L-1 is one fused autodiff op, `selective_scan`. Its forward loops
-over t in numpy and keeps every hidden state h_t. Its backward runs the
-adjoint recurrence in reverse (Mamba, Gu & Dao 2023, section 3.3), with
-gh_t the adjoint of h_t and gy_t that of y_t:
+Discretization, recurrence and readout are one autodiff op,
+`selective_scan(delta, x, A, B, C) -> y`, with delta and x [B,L,C], A [C,N],
+B and C [B,L,N], and y [B,L,C]. The op copies its small [B,L,.] inputs
+time-major to [L,B,.] and builds the zero-order-hold terms
+dA_t = exp(delta_t A) and dBu_t = (delta_t x_t) B_t straight into two
+[L, B*C*N] buffers, so step t of the recurrence h_t = dA_t h_{t-1} + dBu_t
+reads and writes contiguous rows; the dBu buffer becomes h in place. The
+readout y_t = h_t @ C_t is one batched matmul. The tape holds one node;
+of the [L,B,C,N] arrays it keeps only h and dA, next to its small inputs.
 
-    gh_t    = gy_t * C_t + dA_{t+1} * gh_{t+1}     (no second term at t = L-1)
-    g dBu_t = gh_t
-    g dA_t  = gh_t * h_{t-1}                       (0 at t = 0)
-    g C_t   = sum_c gy_{t,c} * h_{t,c}
+Its backward runs the adjoint recurrence (Mamba, Gu & Dao 2023, section
+3.3) over the same rows in reverse, with gh_t the adjoint of h_t and gy_t
+that of y_t:
 
-Both directions take L steps over [B,C,N] slices, and the op adds one node
-to the tape whatever L is.
+    gh_t    = gy_t C_t + dA_{t+1} gh_{t+1}         (no second term at t = L-1)
+    gz_t    = gh_t h_{t-1} dA_t                    (adjoint of delta_t A; 0 at t = 0)
+    g C_t   = sum_c gy_{t,c} h_{t,c}
+    g B_t   = sum_c gh_{t,c} delta_{t,c} x_{t,c}
+    g x_t   = delta_t sum_n gh_t B_t
+    g delta = gz A summed over n, plus x sum_n gh_t B_t
+    g A     = sum over b, t of gz delta
+
+Both directions take L Python steps, and the op adds one node to the tape
+whatever L is.
 """
 
 from __future__ import annotations
@@ -70,40 +81,59 @@ class SelectiveSsm(Module):
             cm = self.proj_c(x)                              # [B,L,N]
 
         a = -self.a_log.exp()                                # [C,N], strictly negative
-        d_a = (delta.reshape(b, l, c, 1) * a.reshape(1, 1, c, n)).exp()
-        d_bu = (delta * x).reshape(b, l, c, 1) * bm.reshape(b, l, 1, n)
-        record_macs(3 * b * l * c * n)
-
-        y = selective_scan(d_a, d_bu, cm)                   # [B,L,C]
+        y = selective_scan(delta, x, a, bm, cm)              # [B,L,C]
         return y + self.d_skip.reshape(1, 1, c) * x
 
 
-def selective_scan(d_a: Tensor, d_bu: Tensor, cm: Tensor) -> Tensor:
-    """Fused scan h_t = d_a[:, t] * h_{t-1} + d_bu[:, t] (zero state before
-    t = 0), y[:, t] = sum_n h_t * cm[:, t]; d_a, d_bu [B,L,C,N] and
-    cm [B,L,N] give y [B,L,C]. The backward is the adjoint in the module
+def _swap_bl(arr: np.ndarray) -> np.ndarray:
+    """Contiguous copy with the first two axes swapped: [B,L,...] <-> [L,B,...]."""
+    return np.ascontiguousarray(arr.swapaxes(0, 1))
+
+
+def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
+    """Fused zero-order-hold scan: h_t = exp(delta_t A) h_{t-1} + delta_t x_t B_t
+    (zero state before t = 0), y_t = h_t @ C_t. delta and x [B,L,C], A [C,N],
+    bm and cm [B,L,N] give y [B,L,C]. The backward is the adjoint in the module
     docstring."""
-    b, l, c, n = d_a.shape
-    da, dbu, cmd = d_a.data, d_bu.data, cm.data
-    hs = np.empty_like(dbu)                                  # every h_t, kept for backward
-    hs[:, 0] = dbu[:, 0]
+    b, l, c = delta.shape
+    n = a.shape[1]
+    record_macs(3 * b * l * c * n)
+    # time-major with (t, b) flattened to one row index i = t*B + b
+    dt, xt, bt, ct = (_swap_bl(v.data).reshape(l * b, -1) for v in (delta, x, bm, cm))
+    dtx = dt * xt                                            # [LB,C]
+    d_a = np.exp(np.einsum("ic,cn->icn", dt, a.data))        # [LB,C,N]
+    hs = np.einsum("ic,in->icn", dtx, bt)                    # dBu, turned into h in place
+    da_rows, h_rows = d_a.reshape(l, -1), hs.reshape(l, -1)  # [L, B*C*N]
+    step = np.empty_like(h_rows[0])
     for t in range(1, l):
-        np.multiply(da[:, t], hs[:, t - 1], out=hs[:, t])
-        hs[:, t] += dbu[:, t]
-    y = (hs * cmd.reshape(b, l, 1, n)).sum(axis=3)
+        row = h_rows[t]
+        np.add(row, np.multiply(da_rows[t], h_rows[t - 1], out=step), out=row)
+    y = (hs @ ct[:, :, None]).reshape(l, b, c)
 
     def bwd(g):
-        # gh_t starts as gy_t * C_t and collects dA_{t+1} * gh_{t+1} in reverse.
-        gh = g.reshape(b, l, c, 1) * cmd.reshape(b, l, 1, n)
-        for t in range(l - 2, -1, -1):
-            gh[:, t] += da[:, t + 1] * gh[:, t + 1]
-        if d_a.requires_grad:
-            g_da = np.zeros_like(da)
-            g_da[:, 1:] = gh[:, 1:] * hs[:, :-1]
-            d_a._accumulate(g_da)
+        gy = _swap_bl(g).reshape(l * b, c)
         if cm.requires_grad:
-            cm._accumulate((g.reshape(b, l, c, 1) * hs).sum(axis=2))
-        if d_bu.requires_grad:
-            d_bu._accumulate(gh)
+            cm._accumulate(_swap_bl((gy[:, None, :] @ hs).reshape(l, b, n)))
+        gh = np.einsum("ic,in->icn", gy, ct)                 # gy_t C_t, then the adjoint
+        gh_rows = gh.reshape(l, -1)
+        for t in range(l - 2, -1, -1):
+            row = gh_rows[t]
+            np.add(row, np.multiply(da_rows[t + 1], gh_rows[t + 1], out=step), out=row)
+        gdtx = (gh @ bt[:, :, None]).reshape(l * b, c)
+        if bm.requires_grad:
+            bm._accumulate(_swap_bl((dtx[:, None, :] @ gh).reshape(l, b, n)))
+        if x.requires_grad:
+            x._accumulate(_swap_bl((gdtx * dt).reshape(l, b, c)))
+        if delta.requires_grad or a.requires_grad:
+            gz = gh_rows                                     # gh is spent; gz reuses it
+            gz[1:] *= h_rows[:-1]
+            gz[0] = 0
+            gz *= da_rows
+            gz = gz.reshape(l * b, c, n)
+            if a.requires_grad:
+                a._accumulate(np.einsum("icn,ic->cn", gz, dt))
+            if delta.requires_grad:
+                gd = np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt
+                delta._accumulate(_swap_bl(gd.reshape(l, b, c)))
 
-    return Tensor._op(y, (d_a, d_bu, cm), bwd)
+    return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)

@@ -4,11 +4,13 @@ Data lives in contiguous row-major numpy arrays (float32 by default,
 float64 for gradient checking). The tape is implicit: every op attaches a
 backward closure and its parent tensors, and ``backward`` replays them in
 reverse topological order. Gradients accumulate additively, so a value
-used k times receives the sum of k adjoint contributions.
+used k times receives the sum of k adjoint contributions. Inside
+``no_grad()`` no tape is recorded at all.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +19,19 @@ from scipy.special import expit
 from .profiler import record_macs
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape: every op made inside keeps no parents and no backward
+    closure, so its inputs are freed as soon as nothing else holds them."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -86,7 +101,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out._backward_ran = False
         if out.requires_grad:
             out._prev = tuple(parents)

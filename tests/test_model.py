@@ -6,7 +6,7 @@ import pytest
 
 from conftest import naive_softmax
 from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights,
-                           log_softmax_classes, seg_loss)
+                           log_softmax_classes, predict, seg_loss)
 from samaseg.sama import AblationFlags
 from samaseg.tensor import Tensor
 
@@ -162,6 +162,30 @@ class TestDeterminism:
         assert np.array_equal(out1, out2)
 
 
+class TestPredict:
+    def test_matches_graph_recording_argmax_bit_for_bit(self, rng):
+        model = SamaUNet(tiny_cfg(), np.random.default_rng(4))
+        images = rng.uniform(-1, 1, size=(2, 1, 20, 24)).astype(np.float32)
+        expected = model(Tensor(images))[0].data.argmax(axis=1)
+        labels = predict(model, images)
+        assert labels.shape == (2, 20, 24)
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_forward_records_no_tape(self, monkeypatch):
+        op = vars(Tensor)["_op"].__func__
+        outs = []
+
+        def kept(data, parents, backward):
+            outs.append(op(data, parents, backward))
+            return outs[-1]
+
+        model = SamaUNet(tiny_cfg(), np.random.default_rng(4))
+        monkeypatch.setattr(Tensor, "_op", staticmethod(kept))
+        predict(model, np.zeros((1, 1, 16, 16), dtype=np.float32))
+        assert len(outs) > 100
+        assert all(t._prev == () and t._backward is None for t in outs)
+
+
 class TestAblationWiring:
     def test_crmsm_off_removes_parameters(self, rng):
         on = SamaUNet(tiny_cfg(), np.random.default_rng(7))
@@ -220,8 +244,9 @@ class TestParameterNames:
 
 class TestGraphSize:
     def test_overfit_step_graph_stays_small(self, monkeypatch):
-        # windows and pooling cells are one op each, not one per tap or cell;
-        # the bound keeps per-tap graphs (over 3,000 nodes here) from returning
+        # windows, pooling cells and the whole selective scan are one op
+        # each, not one per tap, cell or discretisation step; the bound keeps
+        # per-tap graphs (over 3,000 nodes here) from returning
         op = vars(Tensor)["_op"].__func__
         calls = []
 
@@ -237,4 +262,4 @@ class TestGraphSize:
         mask = rng.integers(0, 2, size=(2, 32, 32))
         monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
         seg_loss(model(x), mask, cfg.num_classes)
-        assert len(calls) <= 1400
+        assert len(calls) <= 1340

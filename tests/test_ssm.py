@@ -1,7 +1,8 @@
 """Selective scan against a naive unrolled recurrence, causality by
 perturbation, the static-mode reduction to a linear convolution, the fused
-op's gradients against a per-timestep autodiff loop, and wall-time
-linearity in sequence length."""
+op's gradients against a per-timestep autodiff loop and central
+differences, a graph-size guard, and wall-time linearity in sequence
+length."""
 
 import json
 import os
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import samaseg
-from samaseg.ssm import SelectiveSsm
+from conftest import randt
+from samaseg.gradcheck import grad_check
+from samaseg.ssm import SelectiveSsm, selective_scan
 from samaseg.tensor import Tensor, concat
 
 
@@ -147,6 +150,42 @@ class TestFusedBackward:
         assert grads.keys() == grads_ref.keys()
         for name in grads:
             np.testing.assert_allclose(grads[name], grads_ref[name], rtol=1e-12, err_msg=name)
+
+
+class TestScanOp:
+    @pytest.mark.parametrize("l", [1, 2, 7])
+    def test_five_input_gradients_match_finite_differences(self, rng, l):
+        b, c, n = 2, 3, 4
+        delta = randt(rng, (b, l, c), lo=0.1, hi=1.5)          # softplus output is positive
+        a = randt(rng, (c, n), lo=-3.0, hi=-0.5)                # A is strictly negative
+        inputs = [delta, randt(rng, (b, l, c)), a, randt(rng, (b, l, n)), randt(rng, (b, l, n))]
+        w = Tensor(rng.uniform(-2, 2, size=(b, l, c)))
+
+        def f(xs):
+            return (selective_scan(*xs) * w).sum()
+
+        assert grad_check(f, inputs) < 1e-7
+
+    def test_forward_node_count_does_not_grow_with_length(self, rng, monkeypatch):
+        # the discretisation, recurrence and readout are one node, so the
+        # forward adds the same few projection and skip nodes at any length
+        op = vars(Tensor)["_op"].__func__
+        calls = []
+
+        def counted(data, parents, backward):
+            calls.append(1)
+            return op(data, parents, backward)
+
+        ssm = SelectiveSsm(4, 8, rng)
+        counts = {}
+        for l in (16, 256):
+            x = Tensor(rng.uniform(-1, 1, size=(2, l, 4)).astype(np.float32), requires_grad=True)
+            calls.clear()
+            monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+            ssm(x)
+            monkeypatch.undo()
+            counts[l] = len(calls)
+        assert counts[16] == counts[256] <= 16, counts
 
 
 class TestCausality:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import naive_matmul, randt
 from samaseg.gradcheck import grad_check
 from samaseg.profiler import count_macs
-from samaseg.tensor import Tensor, concat, contract, uniform, zeros
+from samaseg.tensor import Tensor, concat, contract, no_grad, uniform, zeros
 
 
 class TestForwardValues:
@@ -196,6 +196,37 @@ class TestGraphContract:
         x = randt(rng, (3,))
         (x.detach() * x).sum().backward()
         np.testing.assert_allclose(x.grad, x.data)  # only the live branch contributes
+
+
+class TestNoGrad:
+    def _ops(self, rng):
+        a, b = randt(rng, (3, 4)), randt(rng, (4, 2))
+        ab = a @ b
+        return [ab, ab.exp(), (ab * 2.0 + ab).sum(), a[1:], a.transpose(1, 0),
+                concat([a, a], axis=0), contract(a, a, 1)]
+
+    def test_nodes_keep_no_parent_or_closure(self, rng):
+        with no_grad():
+            outs = self._ops(rng)
+        for out in outs:
+            assert not out.requires_grad
+            assert out._prev == () and out._backward is None
+
+    def test_backward_on_a_no_grad_node_raises(self, rng):
+        with no_grad():
+            y = (randt(rng, (3,)) * 2.0).sum()
+        with pytest.raises(RuntimeError):
+            y.backward()
+
+    def test_recording_resumes_after_exit_nesting_and_errors(self, rng):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not self._ops(rng)[0].requires_grad
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError
+        assert all(out._backward is not None for out in self._ops(rng))
 
 
 @settings(max_examples=30, deadline=None)
