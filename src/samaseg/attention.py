@@ -113,12 +113,7 @@ class DiffAggAttention(Module):
         b, d, hh, ww = x.shape
         if d != self.cfg.channels:
             raise ValueError(f"expected {self.cfg.channels} channels, got {d}")
-        n = hh * ww
-
-        tokens = x.reshape(b, d, n).transpose(0, 2, 1)
-        q = self.wq(tokens).transpose(0, 2, 1)                   # [B,d,HW]
-        k_map = self.wk(tokens).transpose(0, 2, 1).reshape(b, d, hh, ww)
-        v_map = self.wv(tokens).transpose(0, 2, 1).reshape(b, d, hh, ww)
+        q, k_map, v_map = self.wq(x), self.wk(x), self.wv(x)    # [B,d,H,W] each
         pe = self.pe_conv(v_map)
 
         if self.kind == "local":
@@ -127,8 +122,7 @@ class DiffAggAttention(Module):
             attn_map = self._global_attend(q, k_map, v_map)
 
         out = self.gn(attn_map.reshape(b, d, hh, ww)) * (1.0 - self.cfg.lambda_init) + pe
-        out_tokens = self.wo(out.reshape(b, d, n).transpose(0, 2, 1))
-        return out_tokens.transpose(0, 2, 1).reshape(b, d, hh, ww)
+        return self.wo(out)
 
     def _local_attend(self, q, k_map, v_map):
         """Attention over each pixel's zero-padded k x k neighbourhood, read

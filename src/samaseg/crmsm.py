@@ -122,7 +122,7 @@ class CrMsmScale(Module):
         return maps
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, c, h, w = x.shape
+        c = x.shape[1]
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
         views = range(VIEW_COUNT if self.flags.multi_view else 1)
@@ -135,9 +135,8 @@ class CrMsmScale(Module):
         elif self.flags.causal_fusion:
             fused = (maps[0] + maps[1] + maps[2] + maps[3]) * 0.25
         else:
-            fused = unflatten_map(self.fuse_proj(
-                concat([flatten_map(m) for m in maps], axis=2)), h, w)
-        return unflatten_map(self.proj(flatten_map(fused)), h, w)
+            fused = self.fuse_proj(concat(maps, axis=1))
+        return self.proj(fused)
 
 
 class CrMsm(Module):

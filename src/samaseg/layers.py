@@ -1,6 +1,11 @@
 """Layer primitives: Linear, Conv2D (incl. depthwise and transpose),
 GroupNorm, LayerNorm, adaptive average pooling, stable softmax.
 
+Every layer is channel-major: inputs are [B,C,...] with the channels on
+axis 1. `Linear` contracts that axis, W @ x with W [out,in], so it runs on
+[B,C,H,W] maps and [B,C,N] sequences alike and a map never round-trips
+through a [B,N,C] token layout.
+
 Every convolution (dense, grouped, depthwise) is one path: `unfold`, a
 channel-major im2col op giving [B,G,(C/G)*kh*kw,OH*OW] columns, then one
 batched matmul W @ cols whose result reshapes straight to [B,out,OH,OW].
@@ -62,12 +67,14 @@ class Linear(Module):
         self.out_features = out_features
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ValueError(f"linear expects trailing dim {self.in_features}, got {x.shape}")
-        y = x @ self.weight.transpose(1, 0)
+        """W @ x over axis 1 of a [B,in,...] input; returns [B,out,...]."""
+        if x.ndim < 2 or x.shape[1] != self.in_features:
+            raise ValueError(f"linear expects {self.in_features} channels on axis 1, got {x.shape}")
+        b = x.shape[0]
+        y = self.weight @ x.reshape(b, self.in_features, -1)
         if self.bias is not None:
-            y = y + self.bias
-        return y
+            y = y + self.bias.reshape(self.out_features, 1)
+        return y.reshape(b, self.out_features, *x.shape[2:])
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:

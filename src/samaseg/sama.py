@@ -78,18 +78,14 @@ class SamaTokenMixer(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         cfg = self.cfg
-        b, c, h, w = x.shape
+        c = x.shape[1]
         if c != cfg.channels:
             raise ValueError(f"expected {cfg.channels} channels, got {c}")
-        n = h * w
         d = cfg.branch_channels
 
         if cfg.flags.use_mamba_macro:
-            tokens = x.reshape(b, c, n).transpose(0, 2, 1)
-            xx = self.in_proj(tokens).transpose(0, 2, 1).reshape(b, cfg.inner_channels, h, w)
-            xx = self.dw(xx).silu()
-            gate = self.res_proj(tokens).silu()
-            gate = gate.transpose(0, 2, 1).reshape(b, cfg.inner_channels, h, w)
+            xx = self.dw(self.in_proj(x)).silu()
+            gate = self.res_proj(x).silu()
         else:
             xx = x
             gate = None
@@ -98,8 +94,7 @@ class SamaTokenMixer(Module):
         mixed = concat([self.attn_local(xl), self.attn_global(xg)], axis=1)
         if gate is not None:
             mixed = mixed * gate
-        out_tokens = self.out_proj(mixed.reshape(b, cfg.inner_channels, n).transpose(0, 2, 1))
-        return out_tokens.transpose(0, 2, 1).reshape(b, c, h, w)
+        return self.out_proj(mixed)
 
 
 class SamaBlock(Module):
@@ -114,8 +109,5 @@ class SamaBlock(Module):
         self.ffn2 = Linear(c * cfg.ffn_ratio, c, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, c, h, w = x.shape
         y = x + self.mixer(self.norm1(x))
-        tokens = self.norm2(y).reshape(b, c, h * w).transpose(0, 2, 1)
-        f = self.ffn2(self.ffn1(tokens).silu())
-        return y + f.transpose(0, 2, 1).reshape(b, c, h, w)
+        return y + self.ffn2(self.ffn1(self.norm2(y)).silu())

@@ -76,13 +76,24 @@ class SelectiveSsm(Module):
             bm = self.b_p.reshape(1, 1, n) * Tensor(np.ones((b, l, 1), dtype=x.dtype))
             cm = self.c_p.reshape(1, 1, n) * Tensor(np.ones((b, l, 1), dtype=x.dtype))
         else:
-            delta = self.proj_delta(x).softplus()            # [B,L,C]
-            bm = self.proj_b(x)                              # [B,L,N]
-            cm = self.proj_c(x)                              # [B,L,N]
+            delta = _project_tokens(self.proj_delta, x).softplus()   # [B,L,C]
+            bm = _project_tokens(self.proj_b, x)                     # [B,L,N]
+            cm = _project_tokens(self.proj_c, x)                     # [B,L,N]
 
         a = -self.a_log.exp()                                # [C,N], strictly negative
         y = selective_scan(delta, x, a, bm, cm)              # [B,L,C]
         return y + self.d_skip.reshape(1, 1, c) * x
+
+
+def _project_tokens(lin: Linear, tokens: Tensor) -> Tensor:
+    """`lin` over the last axis of [B,L,C] tokens, x @ W^T + b.
+
+    Every other layer is channel-major, but the scan keeps its token input:
+    `selective_scan` and perfbench's 4x-length probe index the sequence on
+    axis 1, so moving the scan to [B,C,L] waits for a probe that lengthens
+    the last axis. CR-MSM flattens each view to tokens only at this boundary.
+    """
+    return tokens @ lin.weight.transpose(1, 0) + lin.bias
 
 
 def _swap_bl(arr: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ class Tensor:
     def softplus(self):
         a = self
         # log(1 + exp(x)) without overflow
-        out_data = np.logaddexp(0.0, a.data).astype(a.data.dtype)
+        out_data = np.maximum(a.data, 0) + np.log1p(np.exp(-np.abs(a.data)))
 
         def bwd(g):
             a._accumulate(g * expit(a.data))

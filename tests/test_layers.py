@@ -22,11 +22,18 @@ class TestLinear:
         expected = x @ lin.weight.data.T + lin.bias.data
         np.testing.assert_allclose(lin(Tensor(x)).data, expected, rtol=1e-14)
 
-    def test_batched_tokens(self, rng):
+    @pytest.mark.parametrize("shape", [(2, 4, 7), (2, 4, 3, 5)], ids=["BCN", "BCHW"])
+    def test_contracts_channel_axis(self, rng, shape):
         lin = Linear(4, 6, rng, dtype=np.float64)
-        x = rng.uniform(-1, 1, size=(2, 7, 4))
-        expected = x @ lin.weight.data.T + lin.bias.data
+        x = rng.uniform(-1, 1, size=shape)
+        cols = x.reshape(2, 4, -1)
+        expected = (lin.weight.data @ cols + lin.bias.data[:, None]).reshape(2, 6, *shape[2:])
         np.testing.assert_allclose(lin(Tensor(x)).data, expected, rtol=1e-14)
+
+    def test_wrong_channel_count_rejected(self, rng):
+        lin = Linear(4, 6, rng, dtype=np.float64)
+        with pytest.raises(ValueError, match="axis 1"):
+            lin(Tensor(rng.uniform(-1, 1, size=(2, 7, 4))))
 
 
 CONV_GRID = pytest.mark.parametrize("stride,padding,groups", [

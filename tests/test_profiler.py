@@ -22,7 +22,7 @@ def macs_of(fn) -> int:
 class TestCounting:
     def test_linear_closed_form(self, rng):
         lin = Linear(8, 6, rng)
-        x = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
+        x = Tensor(np.zeros((2, 8, 5), dtype=np.float32))
         assert macs_of(lambda: lin(x)) == 2 * 5 * 6 * 8
 
     def test_matmul_closed_form(self, rng):

@@ -60,9 +60,9 @@ def per_step_scan(ssm: SelectiveSsm, x: Tensor) -> Tensor:
         bm = ssm.b_p.reshape(1, 1, n) * ones
         cm = ssm.c_p.reshape(1, 1, n) * ones
     else:
-        delta = ssm.proj_delta(x).softplus()
-        bm = ssm.proj_b(x)
-        cm = ssm.proj_c(x)
+        delta = (x @ ssm.proj_delta.weight.transpose(1, 0) + ssm.proj_delta.bias).softplus()
+        bm = x @ ssm.proj_b.weight.transpose(1, 0) + ssm.proj_b.bias
+        cm = x @ ssm.proj_c.weight.transpose(1, 0) + ssm.proj_c.bias
     a = -ssm.a_log.exp()
     d_a = (delta.reshape(b, l, c, 1) * a.reshape(1, 1, c, n)).exp()
     d_bu = (delta * x).reshape(b, l, c, 1) * bm.reshape(b, l, 1, n)

@@ -41,6 +41,12 @@ class TestForwardValues:
         np.testing.assert_allclose(t.sigmoid().data, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(t.softplus().data, [0.0, 1e4], atol=1e-12)
 
+    def test_softplus_keeps_float32(self):
+        a = np.array([-80.0, -1.0, 0.0, 1.0, 80.0], dtype=np.float32)
+        out = Tensor(a).softplus().data
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, np.logaddexp(0.0, a.astype(np.float64)), rtol=1e-6)
+
     def test_reductions(self, rng):
         a = rng.uniform(-1, 1, size=(2, 3, 4))
         t = Tensor(a)
