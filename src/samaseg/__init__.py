@@ -4,7 +4,7 @@ state-space scan, and a U-shaped network with training, evaluation, and
 profiling tooling, all on a minimal reverse-mode autodiff tensor core."""
 
 from .attention import AttnConfig, DiffAggAttention, diff_softmax
-from .crmsm import CrMsm, CrMsmConfig, CrMsmScale, make_views
+from .crmsm import CrMsm, CrMsmConfig, CrMsmScale
 from .model import ModelConfig, SamaUNet, seg_loss
 from .sama import AblationFlags, SamaBlock, SamaConfig
 from .ssm import SelectiveSsm
@@ -13,5 +13,5 @@ from .tensor import Tensor
 __all__ = [
     "AblationFlags", "AttnConfig", "CrMsm", "CrMsmConfig", "CrMsmScale",
     "DiffAggAttention", "ModelConfig", "SamaBlock", "SamaConfig", "SamaUNet",
-    "SelectiveSsm", "Tensor", "diff_softmax", "make_views", "seg_loss",
+    "SelectiveSsm", "Tensor", "diff_softmax", "seg_loss",
 ]

@@ -71,6 +71,7 @@ def _load_run_config(args) -> RunConfig:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         apply_setting(cfg, key, raw)
+    cfg.model.__post_init__()        # validate the overridden model, as parse_config does
     return cfg
 
 

@@ -1,12 +1,14 @@
 """Causal-resonance multi-scale skip module.
 
-Per encoder scale: build four directional views of the feature map
-(original, transposed, flipped, flipped-transposed), scan the flattened
-views with a shared selective SSM, restore the original orientation, fuse
-by averaging, and project linearly. The views are stacked on the batch
-axis, so each scale makes one scan call. "Flipped" defaults to full
-sequence reversal of the row-major flatten (a 180-degree spatial
-rotation); a horizontal-mirror variant is available via `flip_mode`.
+Per encoder scale: read the feature map in four directional views
+(original, transposed, flipped, flipped-transposed), scan each with a
+shared selective SSM, restore the original orientation, fuse by averaging,
+and project linearly. Each view is a fixed permutation of the row-major
+positions, one row of the `view_index` table. `to_views` gathers a map
+into the scan's [V*B, H*W, C] tokens (one scan call per scale) and
+`from_views` gathers them back to [B,V,C,H,W] maps, each op's backward
+being the other's gather. "Flipped" is full sequence reversal (a
+180-degree rotation), or a horizontal mirror with `flip_mode="mirror"`.
 """
 
 from __future__ import annotations
@@ -23,52 +25,58 @@ from .tensor import Tensor, concat
 VIEW_COUNT = 4
 
 
-def orient_map(x: Tensor, view: int, flip_mode: str = "sequence") -> Tensor:
-    """Apply directional view `view` in 0..3 to [B,C,H,W]."""
-    if view == 0:
-        return x
-    if view == 1:
-        return x.transpose(0, 1, 3, 2)
-    if flip_mode == "sequence":
-        flipped = x.flip((2, 3))
-    elif flip_mode == "mirror":
-        flipped = x.flip(3)
-    else:
+def view_index(h: int, w: int, views: int = VIEW_COUNT,
+               flip_mode: str = "sequence") -> np.ndarray:
+    """Row-major source position of each step of each view, int [V, H*W]:
+    the grid, its transpose, the flipped grid and the flipped transpose,
+    each flattened row-major. The transposed views scan a W x H map."""
+    grid = np.arange(h * w).reshape(h, w)
+    if flip_mode not in ("sequence", "mirror"):
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
-    if view == 2:
-        return flipped
-    if view == 3:
-        return flipped.transpose(0, 1, 3, 2)
-    raise ValueError(f"view index {view} out of range")
+    flipped = grid[::-1, ::-1] if flip_mode == "sequence" else grid[:, ::-1]
+    return np.stack([o.reshape(-1) for o in (grid, grid.T, flipped, flipped.T)[:views]])
 
 
-def invert_orient_map(y: Tensor, view: int, flip_mode: str = "sequence") -> Tensor:
-    """Inverse of `orient_map`; exact bijection."""
-    if view == 0:
-        return y
-    if view == 1:
-        return y.transpose(0, 1, 3, 2)
-    if view == 3:
-        y = y.transpose(0, 1, 3, 2)
-    if flip_mode == "sequence":
-        return y.flip((2, 3))
-    return y.flip(3)
+def _gather_tokens(maps: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """[B,V,C,N] maps -> [V*B,L,C] tokens, token (v,b,k) = maps[b,v,:,idx[v,k]];
+    a single map (V = 1) is read by every view."""
+    views = np.arange(len(idx))[:, None] % maps.shape[1]
+    tokens = np.ascontiguousarray(maps[:, views, :, idx].transpose(0, 2, 1, 3))
+    return tokens.reshape(-1, idx.shape[1], maps.shape[2])
 
 
-def flatten_map(x: Tensor) -> Tensor:
-    """[B,C,H,W] -> row-major token sequence [B,H*W,C]."""
+def _gather_maps(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Inverse of `_gather_tokens`: [V*B,L,C] tokens -> [B,V,C,N] maps."""
+    tokens = tokens.reshape(len(idx), -1, *tokens.shape[1:])
+    maps = np.empty((tokens.shape[1], len(idx), tokens.shape[3], idx.shape[1]), tokens.dtype)
+    for v, inv in enumerate(np.argsort(idx, axis=1)):
+        maps[:, v] = tokens[v][:, inv].transpose(0, 2, 1)
+    return maps
+
+
+def to_views(x: Tensor, idx: np.ndarray) -> Tensor:
+    """[B,C,H,W] map -> [V*B, H*W, C] tokens of the views in `idx`
+    (`view_index`), view-major on the batch axis. The backward is
+    `from_views`' gather, summed over views."""
     b, c, h, w = x.shape
-    return x.reshape(b, c, h * w).transpose(0, 2, 1)
+    if idx.shape[1] != h * w:
+        raise ValueError(f"view index of {idx.shape[1]} positions for a {h}x{w} map")
+
+    def bwd(g):
+        x._accumulate(_gather_maps(g, idx).sum(axis=1).reshape(x.shape))
+
+    return Tensor._op(_gather_tokens(x.data.reshape(b, 1, c, h * w), idx), (x,), bwd)
 
 
-def unflatten_map(tokens: Tensor, h: int, w: int) -> Tensor:
-    b, _, c = tokens.shape
-    return tokens.transpose(0, 2, 1).reshape(b, c, h, w)
+def from_views(y: Tensor, idx: np.ndarray, h: int, w: int) -> Tensor:
+    """Inverse of `to_views`: [V*B, H*W, C] view tokens -> [B,V,C,H,W] maps
+    in the source orientation. The backward is `to_views`' gather per view."""
+    maps = _gather_maps(y.data, idx)
 
+    def bwd(g):
+        y._accumulate(_gather_tokens(g.reshape(maps.shape), idx))
 
-def make_views(x: Tensor, flip_mode: str = "sequence") -> list[Tensor]:
-    """Four directional token sequences of [B,C,H,W]."""
-    return [flatten_map(orient_map(x, j, flip_mode)) for j in range(VIEW_COUNT)]
+    return Tensor._op(maps.reshape(*maps.shape[:3], h, w), (y,), bwd)
 
 
 @dataclass
@@ -96,46 +104,29 @@ class CrMsmScale(Module):
             self.fuse_proj = Linear(channels * n_views, channels, rng, dtype=dtype)
         self.proj = Linear(channels, channels, rng, dtype=dtype)
 
-    def _scan_view(self, x: Tensor, view: int) -> Tensor:
-        """Scan one directional view on its own; returns a map in the source
-        orientation. The conv ablation runs views this way, since a conv
-        cannot stack views whose height and width are swapped."""
-        oriented = orient_map(x, view, self.cfg.flip_mode)
-        h, w = oriented.shape[2], oriented.shape[3]
-        if self.flags.use_ssm:
-            y = unflatten_map(self.ssm(flatten_map(oriented)), h, w)
-        else:
-            y = self.conv(oriented)
-        return invert_orient_map(y, view, self.cfg.flip_mode)
-
-    def _scan_views(self, x: Tensor, views: range) -> list[Tensor]:
-        """Scan every view in one SSM call, the views stacked on the batch
-        axis; returns one map per view in the source orientation."""
-        mode = self.cfg.flip_mode
-        b = x.shape[0]
-        oriented = [orient_map(x, j, mode) for j in views]
-        y = self.ssm(concat([flatten_map(o) for o in oriented], axis=0))
-        maps = []
-        for i, (j, o) in enumerate(zip(views, oriented)):
-            tokens = y[i * b:(i + 1) * b]
-            maps.append(invert_orient_map(unflatten_map(tokens, o.shape[2], o.shape[3]), j, mode))
-        return maps
-
     def __call__(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
+        b, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        views = range(VIEW_COUNT if self.flags.multi_view else 1)
+        idx = view_index(h, w, VIEW_COUNT if self.flags.multi_view else 1, self.cfg.flip_mode)
+        tokens = to_views(x, idx)
         if self.flags.use_ssm:
-            maps = self._scan_views(x, views)
+            y = self.ssm(tokens)
         else:
-            maps = [self._scan_view(x, j) for j in views]
-        if len(maps) == 1:
-            fused = maps[0]
+            # the conv reads each view as its oriented map; odd views are w x h
+            seqs = tokens.transpose(0, 2, 1)                           # [V*B,C,L]
+            views = []
+            for v in range(len(idx)):
+                oriented = seqs[v * b:(v + 1) * b].reshape(b, c, *((w, h) if v % 2 else (h, w)))
+                views.append(self.conv(oriented).reshape(b, c, h * w))
+            y = concat(views).transpose(0, 2, 1)
+        maps = from_views(y, idx, h, w)                      # [B,V,C,H,W]
+        if len(idx) == 1:
+            fused = maps.reshape(b, c, h, w)
         elif self.flags.causal_fusion:
-            fused = (maps[0] + maps[1] + maps[2] + maps[3]) * 0.25
+            fused = maps.sum(axis=1) * 0.25
         else:
-            fused = self.fuse_proj(concat(maps, axis=1))
+            fused = self.fuse_proj(maps.reshape(b, len(idx) * c, h, w))
         return self.proj(fused)
 
 

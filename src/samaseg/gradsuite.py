@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import AttnConfig, DiffAggAttention
-from .crmsm import CrMsmConfig, CrMsmScale
+from .crmsm import CrMsmConfig, CrMsmScale, from_views, to_views, view_index
 from .gradcheck import grad_check
 from .layers import Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear, softmax
 from .model import ModelConfig, SamaUNet, seg_loss
@@ -159,6 +159,29 @@ def check_crmsm_scale(rng) -> CheckResult:
                          max_elems=12)
 
 
+def check_crmsm_views(rng) -> CheckResult:
+    # a non-square map, both flip modes, and token weights so views differ
+    x = _rand(rng, (2, 2, 3, 4))
+    idx = [view_index(3, 4, flip_mode=mode) for mode in ("sequence", "mirror")]
+    w = [Tensor(rng.uniform(-2.0, 2.0, size=(8, 12, 2))) for _ in idx]
+
+    def f(xs):
+        return sum(_weighted_sum(from_views(to_views(xs[0], i) * wi, i, 3, 4),
+                                 np.random.default_rng(7)) for i, wi in zip(idx, w))
+
+    return CheckResult("crmsm-views", grad_check(f, [x]), 1e-6)
+
+
+def check_index(rng) -> CheckResult:
+    x = _rand(rng, (4, 5))
+
+    def f(xs):   # a slice, and an index array that repeats rows
+        return sum(_weighted_sum(xs[0][key], np.random.default_rng(7))
+                   for key in (np.s_[1:3], np.array([0, 2, 2, 3, 0])))
+
+    return CheckResult("index", grad_check(f, [x]), 1e-6)
+
+
 def check_micro_model(rng) -> CheckResult:
     cfg = ModelConfig(in_channels=1, num_classes=2, base_channels=4,
                       stage_depths=[1, 1], channel_mults=[1, 2], heads=1,
@@ -186,6 +209,7 @@ MICRO_CHECKS: list[Callable] = [
 FULL_CHECKS: list[Callable] = MICRO_CHECKS + [
     check_diff_agg_local, check_diff_agg_global, check_sama_block,
     check_scan, check_crmsm_scale, check_micro_model, check_transpose_conv_overlap,
+    check_crmsm_views, check_index,
 ]
 
 

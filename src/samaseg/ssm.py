@@ -91,7 +91,7 @@ def _project_tokens(lin: Linear, tokens: Tensor) -> Tensor:
     Every other layer is channel-major, but the scan keeps its token input:
     `selective_scan` and perfbench's 4x-length probe index the sequence on
     axis 1, so moving the scan to [B,C,L] waits for a probe that lengthens
-    the last axis. CR-MSM flattens each view to tokens only at this boundary.
+    the last axis. CR-MSM's `to_views` gathers each view straight into tokens.
     """
     return tokens @ lin.weight.transpose(1, 0) + lin.bias
 

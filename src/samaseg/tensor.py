@@ -380,21 +380,18 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         a = self
         out_data = np.ascontiguousarray(a.data[key])
+        # `+=` keeps one gradient of a repeated index; np.add.at is ~20x slower
+        keys = key if isinstance(key, tuple) else (key,)
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in keys)
 
         def bwd(g):
             # in place: a full-size zeros array per slice makes per-step slicing O(L^2)
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[key] += g
-
-        return Tensor._op(out_data, (a,), bwd)
-
-    def flip(self, axis) -> "Tensor":
-        a = self
-        out_data = np.ascontiguousarray(np.flip(a.data, axis))
-
-        def bwd(g):
-            a._accumulate(np.ascontiguousarray(np.flip(g, axis)))
+            if fancy:
+                np.add.at(a.grad, key, g)
+            else:
+                a.grad[key] += g
 
         return Tensor._op(out_data, (a,), bwd)
 

@@ -85,6 +85,15 @@ class TestErrorHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_set_override_is_validated_like_a_config_file(self, tmp_path, capsys):
+        line = "model.stage_depths=1,1,1,1,1"
+        assert main(["profile", "--set", line]) == 1
+        assert "more stage depths than channel multipliers" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["profile", "--config", str(cfg)]) == 1
+        assert "more stage depths than channel multipliers" in capsys.readouterr().err
+
     def test_missing_data_dir_returns_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"), *TINY])

@@ -1,42 +1,58 @@
-"""Multi-directional skip fusion: exact view bijections, hand-enumerated
-2x2 sequences, identity reduction, a permutation-based oracle, and the
-batched scan of all views against one scan call per view."""
+"""Multi-directional skip fusion: the view index table against a loop
+oracle and hand-enumerated sequences, bit-exact round trips through the two
+gather ops, identity reduction, a permutation-based oracle, and the batched
+scan of all views against each view scanned alone."""
 
 import numpy as np
 import pytest
 
-from samaseg.crmsm import (VIEW_COUNT, CrMsm, CrMsmConfig, CrMsmScale, flatten_map,
-                           invert_orient_map, make_views, orient_map, unflatten_map)
+from samaseg.crmsm import (VIEW_COUNT, CrMsm, CrMsmConfig, CrMsmScale, from_views,
+                           to_views, view_index)
 from samaseg.sama import AblationFlags
 from samaseg.tensor import Tensor
 
 
-def view_permutation(h, w, view, flip_mode="sequence"):
-    """Row-major index permutation realized by one directional view."""
-    idx = np.arange(h * w, dtype=np.float64).reshape(1, 1, h, w)
-    return orient_map(Tensor(idx), view, flip_mode).data.reshape(-1).astype(int)
+def loop_order(h, w, view, flip_mode):
+    """Row-major positions in the order view `view` visits them, by loops."""
+    rows, cols = range(h), range(w)
+    if view == 0:
+        return [r * w + c for r in rows for c in cols]
+    if view == 1:
+        return [r * w + c for c in cols for r in rows]
+    if flip_mode == "sequence":
+        return loop_order(h, w, view - 2, flip_mode)[::-1]
+    if view == 2:                                          # mirror: rows right to left
+        return [r * w + c for r in rows for c in reversed(cols)]
+    return [r * w + c for c in reversed(cols) for r in rows]
 
 
 class TestViewBijections:
     @pytest.mark.parametrize("flip_mode", ["sequence", "mirror"])
     @pytest.mark.parametrize("view", range(VIEW_COUNT))
     def test_round_trip_bitwise(self, rng, view, flip_mode):
-        for h in (1, 2, 3, 5, 8):
-            for w in (1, 2, 4, 7):
+        for h in range(1, 9):
+            for w in range(1, 9):
                 x = rng.uniform(size=(2, 3, h, w))
-                back = invert_orient_map(orient_map(Tensor(x), view, flip_mode),
-                                         view, flip_mode).data
-                assert np.array_equal(back, x), (view, flip_mode, h, w)
+                idx = view_index(h, w, flip_mode=flip_mode)
+                tokens = to_views(Tensor(x), idx)
+                assert tokens.shape == (VIEW_COUNT * 2, h * w, 3)
+                back = from_views(tokens, idx, h, w).data
+                assert back.shape == (2, VIEW_COUNT, 3, h, w)
+                assert np.array_equal(back[:, view], x), (view, flip_mode, h, w)
 
     def test_views_are_permutations(self):
-        for view in range(VIEW_COUNT):
-            perm = view_permutation(3, 4, view)
-            assert sorted(perm) == list(range(12))
+        for flip_mode in ("sequence", "mirror"):
+            for h, w in [(1, 1), (1, 5), (4, 1), (3, 4), (5, 2)]:
+                idx = view_index(h, w, flip_mode=flip_mode)
+                assert idx.shape == (VIEW_COUNT, h * w)
+                for v, row in enumerate(idx):
+                    assert sorted(row) == list(range(h * w))
+                    assert list(row) == loop_order(h, w, v, flip_mode), (flip_mode, h, w, v)
 
     def test_2x2_sequences_enumerated(self):
         # x = [[a,b],[c,d]] row-major [a,b,c,d]
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        seqs = [v.data.reshape(-1) for v in make_views(x)]
+        seqs = to_views(x, view_index(2, 2)).data.reshape(VIEW_COUNT, 4)
         np.testing.assert_array_equal(seqs[0], [1, 2, 3, 4])   # original
         np.testing.assert_array_equal(seqs[1], [1, 3, 2, 4])   # transposed
         np.testing.assert_array_equal(seqs[2], [4, 3, 2, 1])   # reversed
@@ -44,19 +60,34 @@ class TestViewBijections:
 
     def test_mirror_mode_2x2(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        seqs = [flatten_map(orient_map(x, v, "mirror")).data.reshape(-1)
-                for v in range(VIEW_COUNT)]
+        seqs = to_views(x, view_index(2, 2, flip_mode="mirror")).data.reshape(VIEW_COUNT, 4)
+        np.testing.assert_array_equal(seqs[0], [1, 2, 3, 4])
+        np.testing.assert_array_equal(seqs[1], [1, 3, 2, 4])
         np.testing.assert_array_equal(seqs[2], [2, 1, 4, 3])   # horizontal mirror
         np.testing.assert_array_equal(seqs[3], [2, 4, 1, 3])
 
+    def test_2x3_sequences_enumerated(self):
+        # x = [[a,b,c],[d,e,f]]; the transposed views scan it as 3x2
+        np.testing.assert_array_equal(view_index(2, 3), [[0, 1, 2, 3, 4, 5],
+                                                         [0, 3, 1, 4, 2, 5],
+                                                         [5, 4, 3, 2, 1, 0],
+                                                         [5, 2, 4, 1, 3, 0]])
+        np.testing.assert_array_equal(view_index(2, 3, flip_mode="mirror")[2:],
+                                      [[2, 1, 0, 5, 4, 3],
+                                       [2, 5, 1, 4, 0, 3]])
+
     def test_flatten_round_trip(self, rng):
+        # one view is the plain row-major flatten to [B,H*W,C] tokens
         x = rng.uniform(size=(2, 3, 4, 5))
-        back = unflatten_map(flatten_map(Tensor(x)), 4, 5).data
-        assert np.array_equal(back, x)
+        idx = view_index(4, 5, views=1)
+        np.testing.assert_array_equal(idx, [np.arange(20)])
+        tokens = to_views(Tensor(x), idx)
+        assert np.array_equal(tokens.data, x.reshape(2, 3, 20).transpose(0, 2, 1))
+        assert np.array_equal(from_views(tokens, idx, 4, 5).data[:, 0], x)
 
     def test_unknown_flip_mode_rejected(self):
         with pytest.raises(ValueError):
-            orient_map(Tensor(np.zeros((1, 1, 2, 2))), 2, "diagonal")
+            view_index(2, 2, flip_mode="diagonal")
 
 
 class TestIdentityReduction:
@@ -90,7 +121,7 @@ class TestScaleOracle:
         tokens = x.reshape(b, c, h * w).transpose(0, 2, 1)
         fused = np.zeros_like(tokens)
         for view in range(VIEW_COUNT):
-            perm = view_permutation(h, w, view)
+            perm = loop_order(h, w, view, "sequence")
             y = scale.ssm(Tensor(tokens[:, perm])).data
             restored = np.empty_like(y)
             restored[:, perm] = y
@@ -126,6 +157,21 @@ class TestScaleOracle:
         out = scale(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
         assert out.shape == (1, 2, 4, 4)
 
+    def test_conv_fallback_on_non_square_map_matches_oriented_convs(self, rng):
+        # each view's conv reads its oriented map: the transposed views are 5x3
+        scale = CrMsmScale(2, CrMsmConfig(), AblationFlags(use_ssm=False), rng,
+                           dtype=np.float64)
+        x = rng.uniform(-1, 1, size=(2, 2, 3, 5))
+        t = (0, 1, 3, 2)
+        rot = x[:, :, ::-1, ::-1]
+        convs = [scale.conv(Tensor(np.ascontiguousarray(m))).data
+                 for m in (x, x.transpose(t), rot, rot.transpose(t))]
+        fused = (convs[0] + convs[1].transpose(t) + convs[2][:, :, ::-1, ::-1]
+                 + convs[3].transpose(t)[:, :, ::-1, ::-1]) * 0.25
+        expected = np.einsum("oc,bchw->bohw", scale.proj.weight.data, fused) \
+            + scale.proj.bias.data[:, None, None]
+        np.testing.assert_allclose(scale(Tensor(x)).data, expected, rtol=1e-12, atol=1e-14)
+
 
 class TestBatchedViews:
     @pytest.mark.parametrize("multi_view", [True, False])
@@ -134,15 +180,18 @@ class TestBatchedViews:
         flags = AblationFlags(multi_view=multi_view)
         scale = CrMsmScale(4, CrMsmConfig(state_size=3, flip_mode=flip_mode), flags, rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 4, 3, 5)).astype(np.float32))
+        n_views = VIEW_COUNT if multi_view else 1
         ssm = scale.ssm
         calls = []
-        scale.ssm = lambda tokens: calls.append(tokens.shape) or ssm(tokens)
-        batched = scale(x).data
-        assert calls == [((4 if multi_view else 1) * 2, 15, 4)]
+        scale.ssm = lambda tokens: calls.append((tokens.shape, ssm(tokens))) or calls[-1][1]
+        scale(x)
+        assert [shape for shape, _ in calls] == [(n_views * 2, 15, 4)]
 
-        scale.ssm = ssm
-        scale._scan_views = lambda x, views: [scale._scan_view(x, j) for j in views]
-        assert np.array_equal(batched, scale(x).data)
+        idx = view_index(3, 5, n_views, flip_mode)
+        batched = calls[0][1].data
+        for v in range(n_views):
+            alone = ssm(to_views(x, idx[v:v + 1])).data
+            assert np.array_equal(batched[2 * v:2 * v + 2], alone), v
 
 
 class TestPyramid:

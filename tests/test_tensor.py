@@ -75,8 +75,8 @@ class TestForwardValues:
         np.testing.assert_array_equal(t.reshape(6, 4).data, a.reshape(6, 4))
         np.testing.assert_array_equal(t.transpose(2, 0, 1).data, a.transpose(2, 0, 1))
         np.testing.assert_array_equal(t[1, :, :2].data, a[1, :, :2])
-        np.testing.assert_array_equal(t.flip(2).data, np.flip(a, 2))
-        np.testing.assert_array_equal(t.flip((1, 2)).data, np.flip(a, (1, 2)))
+        np.testing.assert_array_equal(t[:, :, ::-1].data, np.flip(a, 2))
+        np.testing.assert_array_equal(t[:, ::-1, ::-1].data, np.flip(a, (1, 2)))
 
     def test_concat_stack(self, rng):
         a = rng.uniform(size=(2, 3))
@@ -137,11 +137,22 @@ class TestBackwardNumeric:
         (lambda x: ((x + 2.0).log() * x.softplus()).sum(), "log-softplus"),
         (lambda x: ((x * x + 1.0).sqrt() / (x + 3.0)).sum(), "sqrt-div"),
         (lambda x: x.reshape(2, 6).transpose(1, 0).sum(axis=0).mean(), "shape-ops"),
-        (lambda x: x.flip((1, 2)).sum(axis=(0, 1)).sum(), "flip"),
+        (lambda x: x[:, ::-1, ::-1].sum(axis=(0, 1)).sum(), "flip"),
     ])
     def test_composites(self, rng, fn, name):
         x = randt(rng, (2, 2, 3))
         assert grad_check(lambda xs: fn(xs[0]), [x]) < 1e-7, name
+
+    @pytest.mark.parametrize("key", [
+        np.array([0, 0, 2]),                     # integer array, repeated row
+        [3, 1, 3, 3],                            # list, repeated three times
+        (np.array([1, 1]), slice(0, 2)),         # index array beside a slice
+        (slice(None), [2, 0, 2]),                # list on the second axis
+    ])
+    def test_getitem_repeated_indices_sum(self, rng, key):
+        x = randt(rng, (4, 3))
+        w = rng.uniform(-2, 2, size=np.zeros((4, 3))[key].shape)
+        assert grad_check(lambda xs: (xs[0][key] * Tensor(w)).sum(), [x]) < 1e-7
 
     def test_concat_stack_grads(self, rng):
         a = randt(rng, (2, 3))
