@@ -63,7 +63,7 @@ def to_views(x: Tensor, idx: np.ndarray) -> Tensor:
         raise ValueError(f"view index of {idx.shape[1]} positions for a {h}x{w} map")
 
     def bwd(g):
-        x._accumulate(_gather_maps(g, idx).sum(axis=1).reshape(x.shape))
+        x._accumulate(_gather_maps(g, idx).sum(axis=1).reshape(x.shape), owned=True)
 
     return Tensor._op(_gather_tokens(x.data.reshape(b, 1, c, h * w), idx), (x,), bwd)
 
@@ -74,7 +74,7 @@ def from_views(y: Tensor, idx: np.ndarray, h: int, w: int) -> Tensor:
     maps = _gather_maps(y.data, idx)
 
     def bwd(g):
-        y._accumulate(_gather_tokens(g.reshape(maps.shape), idx))
+        y._accumulate(_gather_tokens(g.reshape(maps.shape), idx), owned=True)
 
     return Tensor._op(maps.reshape(*maps.shape[:3], h, w), (y,), bwd)
 

@@ -6,6 +6,12 @@ axis 1. `Linear` contracts that axis, W @ x with W [out,in], so it runs on
 [B,C,H,W] maps and [B,C,N] sequences alike and a map never round-trips
 through a [B,N,C] token layout.
 
+`Linear`, the two norms and `softmax` are one autodiff op each with a
+hand-written backward, so none leaves a chain of reshapes and elementwise
+nodes on the tape. LayerNorm (over axis 1) and GroupNorm (over each group
+of channels and positions) share one normalisation op, whose backward keeps
+only the normalised input and 1/sigma; softmax's keeps only its output.
+
 Every convolution (dense, grouped, depthwise) is one path: `unfold`, a
 channel-major im2col op giving [B,G,(C/G)*kh*kw,OH*OW] columns, then one
 batched matmul W @ cols whose result reshapes straight to [B,out,OH,OW].
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .profiler import record_macs
 from .tensor import Tensor, uniform
 
 
@@ -67,14 +74,29 @@ class Linear(Module):
         self.out_features = out_features
 
     def __call__(self, x: Tensor) -> Tensor:
-        """W @ x over axis 1 of a [B,in,...] input; returns [B,out,...]."""
+        """W @ x + b over axis 1 of a [B,in,...] input; returns [B,out,...].
+        One op, recording the MACs of the matmul; its backward gives W, b
+        and x directly."""
         if x.ndim < 2 or x.shape[1] != self.in_features:
             raise ValueError(f"linear expects {self.in_features} channels on axis 1, got {x.shape}")
-        b = x.shape[0]
-        y = self.weight @ x.reshape(b, self.in_features, -1)
-        if self.bias is not None:
-            y = y + self.bias.reshape(self.out_features, 1)
-        return y.reshape(b, self.out_features, *x.shape[2:])
+        w, bias = self.weight, self.bias
+        xm = x.data.reshape(x.shape[0], self.in_features, -1)    # [B,in,N]
+        y = np.matmul(w.data, xm)                                # [B,out,N]
+        record_macs(y.size * self.in_features)
+        if bias is not None:
+            y += bias.data[:, None]
+
+        def bwd(g):
+            g = g.reshape(y.shape)
+            if x.requires_grad:
+                x._accumulate(np.matmul(w.data.T, g).reshape(x.shape), owned=True)
+            if w.requires_grad:
+                w._accumulate(np.matmul(g, xm.swapaxes(1, 2)).sum(axis=0), owned=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(g.sum(axis=0).sum(axis=1), owned=True)
+
+        parents = (x, w) if bias is None else (x, w, bias)
+        return Tensor._op(y.reshape(x.shape[0], self.out_features, *x.shape[2:]), parents, bwd)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
@@ -83,7 +105,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
     b, c, h, w = x.shape
     oh = (h + 2 * p - kh) // s + 1
     ow = (w + 2 * p - kw) // s + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = x
+    if p:
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x
     cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
     for ky in range(kh):
         for kx in range(kw):
@@ -114,7 +139,7 @@ def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
     cols = _im2col(x.data, kh, kw, stride, padding)
 
     def bwd(g):
-        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding))
+        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding), owned=True)
 
     return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
 
@@ -134,7 +159,7 @@ def fold(cols: Tensor, h: int, w: int, kh: int, kw: int, stride: int = 1,
     out = np.ascontiguousarray(_col2im(cols.data.reshape(shape6), h, w, stride, padding))
 
     def bwd(g):
-        cols._accumulate(_im2col(g, kh, kw, stride, padding).reshape(cols.shape))
+        cols._accumulate(_im2col(g, kh, kw, stride, padding).reshape(cols.shape), owned=True)
 
     return Tensor._op(out, (cols,), bwd)
 
@@ -220,17 +245,8 @@ class GroupNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, c = x.shape[0], x.shape[1]
-        spatial = int(np.prod(x.shape[2:])) if x.ndim > 2 else 1
-        g = self.num_groups
-        xg = x.reshape(b, g, (c // g) * spatial)
-        mu = xg.mean(axis=2, keepdims=True)
-        centered = xg - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        norm = centered / (var + self.eps).sqrt()
-        norm = norm.reshape(*x.shape)
-        shape = (1, c) + (1,) * (x.ndim - 2)
-        return norm * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        view = (x.shape[0], self.num_groups, -1)
+        return _normalize(x, view, 2, self.gamma, self.beta, self.eps)
 
 
 class LayerNorm(Module):
@@ -243,12 +259,46 @@ class LayerNorm(Module):
         self.channels = channels
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=1, keepdims=True)
-        norm = centered / (var + self.eps).sqrt()
-        shape = (1, self.channels) + (1,) * (x.ndim - 2)
-        return norm * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        return _normalize(x, x.shape, 1, self.gamma, self.beta, self.eps)
+
+
+def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
+               eps: float) -> Tensor:
+    """x_hat * gamma + beta per channel (axis 1 of x), where x_hat is x
+    viewed as `view` minus its mean over `axis`, divided by
+    sigma = sqrt(var + eps). One op; the backward keeps only x_hat and
+    1/sigma:
+
+        g_x = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / sigma,
+
+    with g_hat = g * gamma and the means over `axis` of the view.
+    """
+    dtype = x.dtype.type
+    xv = x.data.reshape(view)
+    inv_n = dtype(1.0 / xv.shape[axis])
+    centered = xv - xv.sum(axis=axis, keepdims=True) * inv_n
+    sigma = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + dtype(eps))
+    x_hat = (centered / sigma).reshape(x.shape)
+    inv_sigma = 1.0 / sigma
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    others = (0,) + tuple(range(2, x.ndim))
+
+    def bwd(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * x_hat).sum(axis=others), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=others), owned=True)
+        if x.requires_grad:
+            g_hat = (g * gamma.data.reshape(shape)).reshape(xv.shape)
+            xh = x_hat.reshape(xv.shape)
+            proj = (g_hat * xh).mean(axis=axis, keepdims=True)
+            g_hat -= g_hat.mean(axis=axis, keepdims=True)
+            g_hat -= xh * proj
+            g_hat *= inv_sigma
+            x._accumulate(g_hat.reshape(x.shape), owned=True)
+
+    out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    return Tensor._op(out, (x, gamma, beta), bwd)
 
 
 def _cell_matrix(n: int, cells: int, dtype) -> np.ndarray:
@@ -267,12 +317,21 @@ def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     cols = _cell_matrix(x.shape[-1], out_w, x.dtype)
 
     def bwd(g):
-        x._accumulate(rows.T @ g @ cols)
+        x._accumulate(rows.T @ g @ cols, owned=True)
 
     return Tensor._op(rows @ x.data @ cols.T, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.max_const(axis=axis, keepdims=True)
-    e = (x - Tensor(m)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """exp(x - max) / sum(exp(x - max)) over `axis`, as one op. The backward
+    is s * (g - sum(g * s)), so a weight that is exactly 0 (a masked key)
+    passes exactly 0 back to its logit."""
+    s = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    s /= s.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        gx = g * s
+        gx -= s * gx.sum(axis=axis, keepdims=True)
+        x._accumulate(gx, owned=True)
+
+    return Tensor._op(s, (x,), bwd)

@@ -167,7 +167,7 @@ class SamaUNet(Module):
             src = img
 
             def bwd(g):
-                src._accumulate(np.ascontiguousarray(g[:, :, :h, :w]))
+                src._accumulate(g[:, :, :h, :w])
             x = Tensor._op(padded, (img,), bwd)
         else:
             x = img

@@ -124,7 +124,7 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
     def bwd(g):
         gy = _swap_bl(g).reshape(l * b, c)
         if cm.requires_grad:
-            cm._accumulate(_swap_bl((gy[:, None, :] @ hs).reshape(l, b, n)))
+            cm._accumulate(_swap_bl((gy[:, None, :] @ hs).reshape(l, b, n)), owned=True)
         gh = np.einsum("ic,in->icn", gy, ct)                 # gy_t C_t, then the adjoint
         gh_rows = gh.reshape(l, -1)
         for t in range(l - 2, -1, -1):
@@ -132,9 +132,9 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
             np.add(row, np.multiply(da_rows[t + 1], gh_rows[t + 1], out=step), out=row)
         gdtx = (gh @ bt[:, :, None]).reshape(l * b, c)
         if bm.requires_grad:
-            bm._accumulate(_swap_bl((dtx[:, None, :] @ gh).reshape(l, b, n)))
+            bm._accumulate(_swap_bl((dtx[:, None, :] @ gh).reshape(l, b, n)), owned=True)
         if x.requires_grad:
-            x._accumulate(_swap_bl((gdtx * dt).reshape(l, b, c)))
+            x._accumulate(_swap_bl((gdtx * dt).reshape(l, b, c)), owned=True)
         if delta.requires_grad or a.requires_grad:
             gz = gh_rows                                     # gh is spent; gz reuses it
             gz[1:] *= h_rows[:-1]
@@ -142,9 +142,9 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
             gz *= da_rows
             gz = gz.reshape(l * b, c, n)
             if a.requires_grad:
-                a._accumulate(np.einsum("icn,ic->cn", gz, dt))
+                a._accumulate(np.einsum("icn,ic->cn", gz, dt), owned=True)
             if delta.requires_grad:
                 gd = np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt
-                delta._accumulate(_swap_bl(gd.reshape(l, b, c)))
+                delta._accumulate(_swap_bl(gd.reshape(l, b, c)), owned=True)
 
     return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)

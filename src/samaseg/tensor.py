@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .profiler import record_macs
 
@@ -32,6 +31,13 @@ def no_grad():
         yield
     finally:
         _recording = outer
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)); exp overflows to inf for x < -88 (float32), which
+    gives the correct limit 0, so the overflow warning is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,9 +117,14 @@ class Tensor:
             out._backward = None
         return out
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add `g` to this tensor's gradient. A closure passes `owned=True`
+        only for an array it has just allocated and keeps no other reference
+        to; the first such gradient is taken as is. A view of the upstream
+        gradient or of a shared array must stay `owned=False` and is copied,
+        because later contributions add into the stored gradient in place."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=not owned)
         else:
             self.grad += g
 
@@ -185,7 +196,7 @@ class Tensor:
         a = self
 
         def bwd(g):
-            a._accumulate(-g)
+            a._accumulate(-g, owned=True)
 
         return Tensor._op(-a.data, (a,), bwd)
 
@@ -198,7 +209,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
+                b._accumulate(_unbroadcast(-g, b.shape), owned=True)
 
         return Tensor._op(out_data, (a, b), bwd)
 
@@ -212,9 +223,9 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
         return Tensor._op(out_data, (a, b), bwd)
 
@@ -227,9 +238,9 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
+                a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
         return Tensor._op(out_data, (a, b), bwd)
 
@@ -243,7 +254,7 @@ class Tensor:
         out_data = a.data ** p
 
         def bwd(g):
-            a._accumulate(g * p * a.data ** (p - 1))
+            a._accumulate(g * p * a.data ** (p - 1), owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -254,7 +265,7 @@ class Tensor:
         out_data = np.exp(a.data)
 
         def bwd(g):
-            a._accumulate(g * out_data)
+            a._accumulate(g * out_data, owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -263,7 +274,7 @@ class Tensor:
         out_data = np.log(a.data)
 
         def bwd(g):
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -272,21 +283,28 @@ class Tensor:
         out_data = np.sqrt(a.data)
 
         def bwd(g):
-            a._accumulate(g * 0.5 / out_data)
+            a._accumulate(g * 0.5 / out_data, owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
     def sigmoid(self):
         a = self
-        s = expit(a.data)
+        s = _sigmoid(a.data)
 
         def bwd(g):
-            a._accumulate(g * s * (1.0 - s))
+            a._accumulate(g * s * (1.0 - s), owned=True)
 
         return Tensor._op(s, (a,), bwd)
 
     def silu(self):
-        return self * self.sigmoid()
+        """x * sigmoid(x) as one op; the backward is g * s * (1 + x * (1 - s))."""
+        a = self
+        s = _sigmoid(a.data)
+
+        def bwd(g):
+            a._accumulate(g * s * (1.0 + a.data * (1.0 - s)), owned=True)
+
+        return Tensor._op(a.data * s, (a,), bwd)
 
     def softplus(self):
         a = self
@@ -294,7 +312,7 @@ class Tensor:
         out_data = np.maximum(a.data, 0) + np.log1p(np.exp(-np.abs(a.data)))
 
         def bwd(g):
-            a._accumulate(g * expit(a.data))
+            a._accumulate(g * _sigmoid(a.data), owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -312,7 +330,7 @@ class Tensor:
                 if not keepdims:
                     gg = np.expand_dims(g, axis)
                 grad = np.broadcast_to(gg, a.shape)
-            a._accumulate(np.ascontiguousarray(grad))
+            a._accumulate(grad)
 
         return Tensor._op(np.asarray(out_data), (a,), bwd)
 
@@ -343,10 +361,10 @@ class Tensor:
         def bwd(g):
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
+                a._accumulate(_unbroadcast(ga, a.shape), owned=True)
             if b.requires_grad:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+                b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
         return Tensor._op(out_data, (a, b), bwd)
 
@@ -373,7 +391,7 @@ class Tensor:
         out_data = np.ascontiguousarray(a.data.transpose(axes))
 
         def bwd(g):
-            a._accumulate(np.ascontiguousarray(g.transpose(inv)))
+            a._accumulate(g.transpose(inv).copy(), owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -407,7 +425,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t._accumulate(np.ascontiguousarray(g[tuple(sl)]))
+                t._accumulate(g[tuple(sl)])
 
     return Tensor._op(out_data, parts, bwd)
 
@@ -422,10 +440,16 @@ def contract(a: Tensor, b: Tensor, axis) -> Tensor:
 
     def bwd(g):
         g = np.expand_dims(g, axis)
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.broadcast_to(g * b.data, full), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.broadcast_to(g * a.data, full), b.shape))
+        for t, other in ((a, b), (b, a)):
+            if not t.requires_grad:
+                continue
+            gt = g * other.data
+            if gt.shape == t.shape:
+                t._accumulate(gt, owned=True)
+            else:
+                # summed down to t: fresh; stretched over an axis only t spans: a view
+                t._accumulate(_unbroadcast(np.broadcast_to(gt, full), t.shape),
+                              owned=t.shape != full)
 
     return Tensor._op(out_data, (a, b), bwd)
 

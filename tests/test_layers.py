@@ -1,5 +1,7 @@
 """Neural layers against independent oracles: direct-loop convolution,
-adjointness identities, explicit normalization statistics."""
+adjointness identities, explicit normalization statistics, and the fused
+Linear, norm and softmax ops against the composite autodiff chains they
+replaced."""
 
 import numpy as np
 import pytest
@@ -7,12 +9,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_conv2d, naive_softmax, randt
+from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
                             Module, adaptive_avg_pool2d, conv2d, fold, softmax,
                             unfold)
+from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor
+
+
+# The composite chains the fused ops replaced, kept as float64 oracles for
+# both values and gradients.
+
+def composite_norm(x, view, axis, gamma, beta, eps=1e-5):
+    xv = x.reshape(*view)
+    mu = xv.mean(axis=axis, keepdims=True)
+    centered = xv - mu
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    norm = (centered / (var + eps).sqrt()).reshape(*x.shape)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    return norm * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def composite_softmax(x, axis):
+    e = (x - Tensor(x.max_const(axis=axis, keepdims=True))).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def values_and_grads(f, leaves):
+    """f(leaves) and the gradients of a seeded weighted sum of it."""
+    for t in leaves:
+        t.zero_grad()
+    out = f(leaves)
+    _weighted_sum(out, np.random.default_rng(7)).backward()
+    return out.data, [t.grad.copy() for t in leaves]
+
+
+def assert_same_op(fused, composite, leaves, rtol=1e-12):
+    got, got_grads = values_and_grads(fused, leaves)
+    want, want_grads = values_and_grads(composite, leaves)
+    np.testing.assert_allclose(got, want, rtol=rtol)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=rtol)
 
 
 class TestLinear:
@@ -34,6 +73,30 @@ class TestLinear:
         lin = Linear(4, 6, rng, dtype=np.float64)
         with pytest.raises(ValueError, match="axis 1"):
             lin(Tensor(rng.uniform(-1, 1, size=(2, 7, 4))))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4, 7), (2, 4, 3, 5)], ids=["BC", "BCN", "BCHW"])
+    def test_one_op_matches_weight_matmul_values_grads_and_macs(self, rng, shape, bias):
+        lin = Linear(4, 6, rng, bias=bias, dtype=np.float64)
+        x = randt(rng, shape)
+        b = shape[0]
+
+        def composite(_):
+            y = lin.weight @ x.reshape(b, 4, -1)
+            if bias:
+                y = y + lin.bias.reshape(6, 1)
+            return y.reshape(b, 6, *shape[2:])
+
+        assert_same_op(lambda _: lin(x), composite, [x] + lin.parameters())
+        with count_macs() as counter:
+            y = lin(x)
+        assert counter.total == y.size * 4
+        assert y._prev == ((x, lin.weight, lin.bias) if bias else (x, lin.weight))
+
+        def f(_):
+            return _weighted_sum(lin(x), np.random.default_rng(7))
+
+        assert grad_check(f, [x] + lin.parameters()) < 1e-7
 
 
 CONV_GRID = pytest.mark.parametrize("stride,padding,groups", [
@@ -177,6 +240,29 @@ class TestNorms:
         np.testing.assert_allclose(grouped.mean(axis=(2, 3, 4)), 0.0, atol=1e-12)
         np.testing.assert_allclose(grouped.var(axis=(2, 3, 4)), 1.0, atol=1e-3)
 
+    @staticmethod
+    def _affine(rng, norm):
+        norm.gamma.data = rng.uniform(0.5, 1.5, size=norm.gamma.shape)
+        norm.beta.data = rng.uniform(-0.5, 0.5, size=norm.beta.shape)
+        return [norm.gamma, norm.beta]
+
+    @pytest.mark.parametrize("groups", [1, 2, 6])
+    def test_groupnorm_one_op_matches_composite(self, rng, groups):
+        gn = GroupNorm(6, num_groups=groups, dtype=np.float64)
+        params = self._affine(rng, gn)
+        x = randt(rng, (2, 6, 3, 4), lo=-2, hi=3)
+        assert_same_op(lambda _: gn(x),
+                       lambda _: composite_norm(x, (2, groups, -1), 2, *params),
+                       [x] + params)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (2, 5, 3, 4)], ids=["BCN", "BCHW"])
+    def test_layernorm_one_op_matches_composite(self, rng, shape):
+        ln = LayerNorm(5, dtype=np.float64)
+        params = self._affine(rng, ln)
+        x = randt(rng, shape, lo=-2, hi=3)
+        assert_same_op(lambda _: ln(x), lambda _: composite_norm(x, shape, 1, *params),
+                       [x] + params)
+
     def test_layernorm_statistics(self, rng):
         ln = LayerNorm(5, dtype=np.float64)
         x = rng.uniform(-2, 2, size=(2, 5, 3, 3))
@@ -227,6 +313,18 @@ class TestPoolingSoftmax:
         z = rng.uniform(-5, 5, size=(3, 4, 6))
         np.testing.assert_allclose(softmax(Tensor(z)).data, naive_softmax(z),
                                    rtol=1e-13)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_one_op_matches_composite_and_masked_keys_get_exact_zeros(self, rng, axis):
+        z = rng.uniform(-5, 5, size=(2, 3, 9, 8))
+        masked = rng.uniform(size=z.shape) < 0.3
+        np.moveaxis(masked, axis, 0)[0] = False          # one live key per row
+        x = Tensor(np.where(masked, z + MASK_BIAS, z), requires_grad=True)
+        assert_same_op(lambda _: softmax(x, axis), lambda _: composite_softmax(x, axis), [x])
+        s, (gx,) = values_and_grads(lambda _: softmax(x, axis), [x])
+        assert np.all(s[masked] == 0.0) and np.all(gx[masked] == 0.0)
+        assert np.all(s[~masked] > 0.0)
+        np.testing.assert_allclose(s.sum(axis=axis), 1.0, rtol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))

@@ -1,10 +1,13 @@
 """Autodiff tensor core: forward values against numpy, gradients against
 central differences and hand-derived expressions, graph bookkeeping rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from conftest import naive_matmul, randt
 from samaseg.gradcheck import grad_check
@@ -40,6 +43,35 @@ class TestForwardValues:
         assert np.all(np.isfinite(t.softplus().data))
         np.testing.assert_allclose(t.sigmoid().data, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(t.softplus().data, [0.0, 1e4], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_expit_over_the_whole_range(self, dtype):
+        # the sigmoid behind sigmoid, silu and softplus' backward
+        grid = np.concatenate([np.linspace(-1e4, 1e4, 20001), np.linspace(-120, 120, 24001),
+                               [-np.inf, np.inf]]).astype(dtype)
+        finfo = np.finfo(dtype)
+        x = Tensor(grid, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = x.sigmoid().data
+            x.softplus().sum().backward()
+        assert s.dtype == dtype and x.grad.dtype == dtype
+        for got in (s, x.grad):
+            np.testing.assert_allclose(got, expit(grid), rtol=4 * finfo.eps, atol=finfo.tiny)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_one_op_matches_composite_at_large_magnitudes(self, dtype):
+        grid = np.array([-1e4, -1e3, -700, -250, -100, 100, 250, 700, 1e3, 1e4], dtype=dtype)
+        seed = np.linspace(-2, 2, grid.size).astype(dtype)
+        out = {}
+        for name, f in (("fused", lambda t: t.silu()), ("composite", lambda t: t * t.sigmoid())):
+            x = Tensor(grid, requires_grad=True)
+            y = f(x)
+            y.backward(seed)
+            out[name] = (y.data, x.grad)
+        for got, want in zip(out["fused"], out["composite"]):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_softplus_keeps_float32(self):
         a = np.array([-80.0, -1.0, 0.0, 1.0, 80.0], dtype=np.float32)
@@ -129,6 +161,46 @@ class TestBackwardHandDerived:
         expected = np.zeros((4, 4))
         expected[1:3, 2] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+
+class TestGradientOwnership:
+    """A closure may hand its gradient over without a copy only when it made
+    that array itself; a view of the upstream gradient must be copied, or a
+    later contribution adds into the upstream node's gradient in place."""
+
+    @staticmethod
+    def _backward(y, rng):
+        seed = rng.uniform(-1, 1, size=y.shape)
+        y.backward(seed)
+        return seed
+
+    def test_reused_input(self, rng):
+        x = randt(rng, (3, 4))
+        y = x + x
+        seed = self._backward(y, rng)
+        np.testing.assert_array_equal(y.grad, seed)
+        np.testing.assert_array_equal(x.grad, 2 * seed)
+
+    def test_reshape_chain(self, rng):
+        x = randt(rng, (3, 4))
+        a = x.reshape(12).reshape(2, 6)
+        b = x.reshape(2, 6)
+        y = a + b
+        seed = self._backward(y, rng)
+        for node in (y, a, b):
+            np.testing.assert_array_equal(node.grad, seed)
+        np.testing.assert_array_equal(x.grad, 2 * seed.reshape(3, 4))
+
+    def test_broadcast_add(self, rng):
+        x = randt(rng, (3, 4))
+        bias = randt(rng, (4,))
+        a = x + bias
+        y = a + x
+        seed = self._backward(y, rng)
+        for node in (y, a):
+            np.testing.assert_array_equal(node.grad, seed)
+        np.testing.assert_array_equal(x.grad, 2 * seed)
+        np.testing.assert_allclose(bias.grad, seed.sum(axis=0), rtol=1e-15)
 
 
 class TestBackwardNumeric:
