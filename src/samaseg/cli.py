@@ -85,12 +85,9 @@ def _cmd_synth_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-    if args.lr is not None:
-        cfg.train.lr = args.lr
-    if args.epochs is not None:
-        cfg.train.epochs = args.epochs
+    for name in ("seed", "lr", "epochs"):
+        if getattr(args, name) is not None:
+            setattr(cfg.train, name, getattr(args, name))
     dataset = load_dataset(args.data)
     rng = np.random.default_rng(cfg.train.seed)
     model = SamaUNet(cfg.model, rng)

@@ -12,12 +12,12 @@ nodes on the tape. LayerNorm (over axis 1) and GroupNorm (over each group
 of channels and positions) share one normalisation op, whose backward keeps
 only the normalised input and 1/sigma; softmax's keeps only its output.
 
-Every convolution (dense, grouped, depthwise) is one path: `unfold`, a
-channel-major im2col op giving [B,G,(C/G)*kh*kw,OH*OW] columns, then one
-batched matmul W @ cols whose result reshapes straight to [B,out,OH,OW].
-`fold` (col2im) is the exact adjoint of `unfold`, each op's backward being
-the other, so a transpose convolution is fold(W^T @ x) and never multiplies
-inserted zeros. The local-attention neighbourhoods reuse `unfold`.
+Every convolution (dense, grouped, depthwise) is one op, W @ im2col(x) + b
+with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns and one batched matmul,
+and so is every transpose convolution, col2im(W^T @ x) + b, which never
+multiplies inserted zeros. col2im is the exact adjoint of im2col, so each
+op's backward runs the other. `unfold`, the im2col op on its own, gathers
+the local-attention neighbourhoods.
 Adaptive pooling is one op, rows @ x @ cols^T with constant averaging
 matrices.
 
@@ -133,7 +133,7 @@ def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
     zero-padded windows.
 
     Rows are ordered (channel, ky, kx), matching a weight reshaped to
-    [G, out/G, (C/G)*kh*kw]. The backward is `fold` of the gradient.
+    [G, out/G, (C/G)*kh*kw]. The backward is col2im of the gradient.
     """
     b, c, h, w = x.shape
     cols = _im2col(x.data, kh, kw, stride, padding)
@@ -144,30 +144,11 @@ def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
     return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
 
 
-def fold(cols: Tensor, h: int, w: int, kh: int, kw: int, stride: int = 1,
-         padding: int = 0) -> Tensor:
-    """col2im, the adjoint of `unfold`: sums [B,...,C*kh*kw,OH*OW] windows
-    (any grouping of the channel-major rows) back onto a [B,C,H,W] map.
-    The backward is `unfold` of the gradient."""
-    b = cols.shape[0]
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if cols.shape[-1] != oh * ow or cols.shape[-2] % (kh * kw):
-        raise ValueError(f"fold: columns {cols.shape} do not tile a {h}x{w} map "
-                         f"with kernel {kh}x{kw}, stride {stride}, padding {padding}")
-    shape6 = (b, -1, kh, kw, oh, ow)
-    out = np.ascontiguousarray(_col2im(cols.data.reshape(shape6), h, w, stride, padding))
-
-    def bwd(g):
-        cols._accumulate(_im2col(g, kh, kw, stride, padding).reshape(cols.shape), owned=True)
-
-    return Tensor._op(out, (cols,), bwd)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw],
-    as one batched matmul of the weight with the unfolded windows."""
+    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
+    one op, W @ im2col(x) + b; the backward gives x as col2im(W^T @ g), W
+    as g @ cols^T summed over the batch and b as g summed."""
     b, c, h, w = x.shape
     out_ch, cg, kh, kw = weight.shape
     if c % groups or out_ch % groups or cg != c // groups:
@@ -177,12 +158,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    cols = unfold(x, kh, kw, stride, padding, groups)        # [B,G,cg*kh*kw,OH*OW]
-    wm = weight.reshape(groups, out_ch // groups, cg * kh * kw)
-    y = (wm @ cols).reshape(b, out_ch, oh, ow)
+    cm = _im2col(x.data, kh, kw, stride, padding).reshape(b, groups, -1, oh * ow)
+    wm = weight.data.reshape(groups, out_ch // groups, cg * kh * kw)
+    y = np.matmul(wm, cm).reshape(b, out_ch, oh, ow)
+    record_macs(y.size * cm.shape[-2])
     if bias is not None:
-        y = y + bias.reshape(1, out_ch, 1, 1)
-    return y
+        y += bias.data.reshape(1, out_ch, 1, 1)
+
+    def bwd(g):
+        gm = g.reshape(b, groups, out_ch // groups, oh * ow)
+        if weight.requires_grad:
+            gw = np.matmul(gm, cm.swapaxes(-1, -2)).sum(axis=0)
+            weight._accumulate(gw.reshape(weight.shape), owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+        if x.requires_grad:
+            gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(b, c, kh, kw, oh, ow)
+            x._accumulate(_col2im(gcols, h, w, stride, padding), owned=True)
+
+    return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 class Conv2d(Module):
@@ -202,8 +196,8 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Transpose convolution; adjoint of Conv2d with the same geometry,
-    computed as fold(W^T @ x).
+    """Transpose convolution, col2im(W^T @ x) + b as one op: the adjoint of
+    Conv2d with the same geometry, whose backward runs im2col on g.
 
     Weight layout is [in, out, kh, kw]; output extent (H-1)*s - 2p + k.
     """
@@ -222,14 +216,29 @@ class ConvTranspose2d(Module):
         k, s, p = self.kernel, self.stride, self.padding
         if k - 1 - p < 0:
             raise ValueError("transpose conv requires padding <= kernel-1")
+        weight, bias = self.weight, self.bias
         b, c, h, w = x.shape
-        in_ch, out_ch = self.weight.shape[:2]
-        wt = self.weight.reshape(in_ch, out_ch * k * k).transpose(1, 0)
-        cols = wt @ x.reshape(b, c, h * w)                      # [B,out*k*k,H*W]
-        y = fold(cols, (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k, k, k, s, p)
-        if self.bias is not None:
-            y = y + self.bias.reshape(1, -1, 1, 1)
-        return y
+        in_ch, out_ch = weight.shape[:2]
+        wt = np.ascontiguousarray(weight.data.reshape(in_ch, out_ch * k * k).T)
+        xm = x.data.reshape(b, c, h * w)
+        cols = np.matmul(wt, xm)                                 # [B,out*k*k,H*W]
+        record_macs(cols.size * c)
+        oh, ow = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
+        y = np.ascontiguousarray(_col2im(cols.reshape(b, out_ch, k, k, h, w), oh, ow, s, p))
+        if bias is not None:
+            y += bias.data.reshape(1, out_ch, 1, 1)
+
+        def bwd(g):
+            gcols = _im2col(g, k, k, s, p).reshape(b, out_ch * k * k, h * w)
+            if weight.requires_grad:
+                gw = np.matmul(gcols, xm.swapaxes(1, 2)).sum(axis=0)
+                weight._accumulate(gw.T.copy().reshape(weight.shape), owned=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+            if x.requires_grad:
+                x._accumulate(np.matmul(wt.T, gcols).reshape(x.shape), owned=True)
+
+        return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 class GroupNorm(Module):

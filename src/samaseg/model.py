@@ -40,6 +40,11 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.stage_depths) > len(self.channel_mults):
             raise ValueError("more stage depths than channel multipliers")
+        if not self.stage_depths:
+            raise ValueError("stage_depths must list at least one stage")
+        for name in ("heads", "state_size", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def num_stages(self) -> int:

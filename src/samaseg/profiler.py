@@ -1,7 +1,7 @@
 """Multiply-accumulate counting and the parameter/FLOPs report.
 
-Counting is op-level: matmul (which every linear and conv layer runs
-through) and the selective scan report their exact MAC counts as they
+Counting is op-level: `Linear`, `conv2d`, `ConvTranspose2d`, matmul,
+`contract` and the selective scan report their exact MAC counts as they
 execute, attributed to the innermost active scope. A forward pass under
 ``count_macs()`` therefore yields analytic per-layer counts without a
 separate shape-walking model. GFLOPs are reported as

@@ -37,6 +37,9 @@ class EpochLog:
 
 def train(model: SamaUNet, dataset: list[SegmentationSample], cfg: TrainConfig,
           out_dir=None) -> list[EpochLog]:
+    for name in ("epochs", "iters_per_epoch", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if not dataset:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)

@@ -60,3 +60,24 @@ def naive_conv2d(x, w, b, stride=1, padding=1, groups=1):
 def naive_softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def naive_conv_transpose2d(x, w, b, stride=1, padding=0):
+    """Seven-loop scatter oracle; x [B,C,H,W], w [C,O,kh,kw]: each
+    x[b,c,i,j] * w[c,o,ky,kx] lands on (i*s - p + ky, j*s - p + kx)."""
+    bs, c, h, ww_ = x.shape
+    _, o, kh, kw = w.shape
+    oh = (h - 1) * stride - 2 * padding + kh
+    ow = (ww_ - 1) * stride - 2 * padding + kw
+    out = np.zeros((bs, o, oh, ow), dtype=x.dtype)
+    for n in range(bs):
+        for ic in range(c):
+            for i in range(h):
+                for j in range(ww_):
+                    for oc in range(o):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                y, z = i * stride - padding + di, j * stride - padding + dj
+                                if 0 <= y < oh and 0 <= z < ow:
+                                    out[n, oc, y, z] += x[n, ic, i, j] * w[ic, oc, di, dj]
+    return out + b.reshape(1, o, 1, 1)

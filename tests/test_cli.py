@@ -94,6 +94,27 @@ class TestErrorHandling:
         assert main(["profile", "--config", str(cfg)]) == 1
         assert "more stage depths than channel multipliers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,field", [
+        ("model.stage_depths=", "stage_depths"), ("model.heads=0", "heads"),
+        ("model.state_size=0", "state_size"), ("model.num_classes=0", "num_classes"),
+    ])
+    def test_out_of_range_model_setting_is_rejected(self, capsys, setting, field):
+        assert main(["profile", "--set", setting, "--height", "16", "--width", "16"]) == 1
+        assert f"{field} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--set", "train.iters_per_epoch=0"], "iters_per_epoch"),
+        (["--epochs", "0"], "epochs"),
+        (["--set", "train.batch_size=0"], "batch_size"),
+    ])
+    def test_out_of_range_train_setting_is_rejected_before_training(self, tmp_path, capsys,
+                                                                    flags, field):
+        data, run = str(tmp_path / "data"), tmp_path / "run"
+        main(["synth-data", "--out", data, "--size", "16", "--count", "2"])
+        assert main(["train", "--data", data, "--out", str(run), *TINY, *flags]) == 1
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_missing_data_dir_returns_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"), *TINY])

@@ -112,6 +112,14 @@ class TestTrainLoop:
         assert float(row[1]) == logs[0].lr
         assert float(row[3]) == logs[0].dsc
 
+    @pytest.mark.parametrize("field", ["epochs", "iters_per_epoch", "batch_size"])
+    def test_non_positive_loop_size_rejected(self, tmp_path, field):
+        cfg = TrainConfig(epochs=1, iters_per_epoch=1, batch_size=1)
+        setattr(cfg, field, 0)
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            train(tiny_model(), tiny_dataset(count=2), cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(tiny_model(), [], TrainConfig(epochs=1))

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_conv2d, naive_softmax, randt
+from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
-                            Module, adaptive_avg_pool2d, conv2d, fold, softmax,
-                            unfold)
+                            Module, _col2im, _im2col, adaptive_avg_pool2d, conv2d,
+                            softmax, unfold)
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor
 
@@ -44,6 +44,28 @@ def values_and_grads(f, leaves):
     out = f(leaves)
     _weighted_sum(out, np.random.default_rng(7)).backward()
     return out.data, [t.grad.copy() for t in leaves]
+
+
+def with_and_without_bias(names, geometries):
+    """Parametrize `names` over `geometries`, each with and without a bias;
+    the biased cases keep the plain geometry id."""
+    return pytest.mark.parametrize(names + ",bias", [
+        pytest.param(*geo, bias, id="-".join(map(str, geo)) + ("" if bias else "-nobias"))
+        for bias in (True, False) for geo in geometries])
+
+
+def drop_bias_unless(bias, layer):
+    """Remove the layer's bias unless `bias`. The layer is built with one so
+    both cases share its weight and the input drawn after it."""
+    if not bias:
+        layer.bias = None
+
+
+def assert_one_conv_node(layer, x):
+    """The layer records one tape node whose parents are x and its own
+    parameters."""
+    y = layer(x)
+    assert y._prev == (x, layer.weight) + ((layer.bias,) if layer.bias is not None else ())
 
 
 def assert_same_op(fused, composite, leaves, rtol=1e-12):
@@ -99,9 +121,8 @@ class TestLinear:
         assert grad_check(f, [x] + lin.parameters()) < 1e-7
 
 
-CONV_GRID = pytest.mark.parametrize("stride,padding,groups", [
-    (1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2),
-])
+CONV_GEOMETRIES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2)]
+CONV_GRID = pytest.mark.parametrize("stride,padding,groups", CONV_GEOMETRIES)
 
 
 class TestConv2d:
@@ -121,11 +142,13 @@ class TestConv2d:
                                 stride=1, padding=1, groups=3)
         np.testing.assert_allclose(conv(Tensor(x)).data, expected, rtol=1e-12, atol=1e-13)
 
-    @CONV_GRID
-    def test_gradients_match_finite_differences(self, rng, stride, padding, groups):
+    @with_and_without_bias("stride,padding,groups", CONV_GEOMETRIES)
+    def test_gradients_match_finite_differences(self, rng, stride, padding, groups, bias):
         conv = Conv2d(4, 6, 3, rng, stride=stride, padding=padding,
                       groups=groups, dtype=np.float64)
         x = randt(rng, (2, 4, 5, 6))
+        drop_bias_unless(bias, conv)
+        assert_one_conv_node(conv, x)
 
         def f(_):
             return _weighted_sum(conv(x), np.random.default_rng(7))
@@ -157,24 +180,25 @@ class TestUnfoldFold:
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_fold_is_adjoint_of_unfold(self, rng, k, stride, padding, groups):
-        # <unfold(x), c> == <x, fold(c)>
+        # <im2col(x), c> == <x, col2im(c)>; unfold is im2col with grouped rows
         x = rng.uniform(-1, 1, size=(2, 4, 5, 6))
-        cols = unfold(Tensor(x), k, k, stride, padding, groups).data
+        cols = _im2col(x, k, k, stride, padding)
+        unfolded = unfold(Tensor(x), k, k, stride, padding, groups).data
+        np.testing.assert_array_equal(unfolded, cols.reshape(unfolded.shape))
         c = rng.uniform(-1, 1, size=cols.shape)
-        back = fold(Tensor(c), 5, 6, k, k, stride, padding).data
+        back = _col2im(c, 5, 6, stride, padding)
         assert back.shape == x.shape
         np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
 
-    def test_fold_rejects_columns_that_do_not_tile_the_map(self):
-        with pytest.raises(ValueError, match="do not tile"):
-            fold(Tensor(np.zeros((1, 10, 20))), 4, 5, 3, 3, 1, 1)
+
+# extents chosen so the conv geometry round-trips exactly
+CONVT_GRID = pytest.mark.parametrize("k,stride,padding,extent", [
+    (2, 2, 0, 8), (3, 1, 1, 8), (3, 2, 1, 7), (4, 2, 1, 8),
+])
 
 
 class TestConvTranspose2d:
-    @pytest.mark.parametrize("k,stride,padding,extent", [
-        # extents chosen so the conv geometry round-trips exactly
-        (2, 2, 0, 8), (3, 1, 1, 8), (3, 2, 1, 7), (4, 2, 1, 8),
-    ])
+    @CONVT_GRID
     def test_adjoint_of_conv(self, rng, k, stride, padding, extent):
         # <Conv(x), y> == <x, ConvT(y)> when ConvT reuses the conv weight
         conv = Conv2d(3, 5, k, rng, stride=stride, padding=padding,
@@ -188,10 +212,20 @@ class TestConvTranspose2d:
         back = ct(Tensor(y)).data
         np.testing.assert_allclose(np.vdot(fwd, y), np.vdot(x, back), rtol=1e-12)
 
-    @pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1)])
-    def test_gradients_match_finite_differences(self, rng, k, stride, padding):
+    @CONVT_GRID
+    def test_matches_loop_oracle(self, rng, k, stride, padding, extent):
+        ct = ConvTranspose2d(5, 3, k, rng, stride=stride, padding=padding, dtype=np.float64)
+        n = (extent + 2 * padding - k) // stride + 1        # the conv's output extent
+        x = rng.uniform(-1, 1, size=(2, 5, n, n))
+        expected = naive_conv_transpose2d(x, ct.weight.data, ct.bias.data, stride, padding)
+        np.testing.assert_allclose(ct(Tensor(x)).data, expected, rtol=1e-12)
+
+    @with_and_without_bias("k,stride,padding", [(2, 2, 0), (3, 2, 1)])
+    def test_gradients_match_finite_differences(self, rng, k, stride, padding, bias):
         ct = ConvTranspose2d(3, 2, k, rng, stride=stride, padding=padding, dtype=np.float64)
         x = randt(rng, (2, 3, 3, 4))
+        drop_bias_unless(bias, ct)
+        assert_one_conv_node(ct, x)
 
         def f(_):
             return _weighted_sum(ct(x), np.random.default_rng(7))
