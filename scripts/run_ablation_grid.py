@@ -51,7 +51,6 @@ def main() -> int:
         opt = AdamW(list(model.named_parameters()))
         t0 = time.time()
         loss = seg_loss(model(x), mask, cfg.num_classes)
-        model.zero_grad()
         loss.backward()
         opt.step()
         print(f"{name:<24} {model.num_params():>10} {loss.item():>14.5f} "

@@ -85,7 +85,8 @@ def load_checkpoint(ckpt_dir, model):
         arr = read_stn1(ckpt_dir / entries[name])
         if arr.shape != t.shape:
             raise ValueError(f"shape mismatch for '{name}': checkpoint {arr.shape} vs model {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(t.data.dtype, copy=False))
+        # in place: an optimizer may hold t.data as a view of its flat run
+        np.copyto(t.data, arr.astype(t.dtype, copy=False))
 
 
 def checkpoint_scalar_count(ckpt_dir) -> int:

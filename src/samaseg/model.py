@@ -42,9 +42,13 @@ class ModelConfig:
             raise ValueError("more stage depths than channel multipliers")
         if not self.stage_depths:
             raise ValueError("stage_depths must list at least one stage")
-        for name in ("heads", "state_size", "num_classes"):
+        for name in ("in_channels", "num_classes", "base_channels", "heads", "expansion",
+                     "ffn_ratio", "state_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if min(self.channel_mults) < 1:
+            raise ValueError(f"channel_mults must be at least 1 in every entry, "
+                             f"got {self.channel_mults}")
 
     @property
     def num_stages(self) -> int:

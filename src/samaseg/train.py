@@ -48,6 +48,7 @@ def train(model: SamaUNet, dataset: list[SegmentationSample], cfg: TrainConfig,
     num_classes = model.cfg.num_classes
     logs: list[EpochLog] = []
     step = 0
+    model.zero_grad()   # opt.step() consumes the gradients it applies
     for epoch in range(cfg.epochs):
         losses = []
         dscs = []
@@ -63,7 +64,6 @@ def train(model: SamaUNet, dataset: list[SegmentationSample], cfg: TrainConfig,
             if not np.isfinite(loss_val):
                 raise FloatingPointError(
                     f"non-finite loss {loss_val} at epoch {epoch}, step {step}")
-            model.zero_grad()
             loss.backward()
             lr_now = cosine_lr(step, total_steps, cfg.lr)
             opt.lr = lr_now

@@ -97,6 +97,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("setting,field", [
         ("model.stage_depths=", "stage_depths"), ("model.heads=0", "heads"),
         ("model.state_size=0", "state_size"), ("model.num_classes=0", "num_classes"),
+        ("model.expansion=0", "expansion"), ("model.ffn_ratio=0", "ffn_ratio"),
+        ("model.base_channels=0", "base_channels"), ("model.in_channels=0", "in_channels"),
+        ("model.channel_mults=1,0,4,8", "channel_mults"),
     ])
     def test_out_of_range_model_setting_is_rejected(self, capsys, setting, field):
         assert main(["profile", "--set", setting, "--height", "16", "--width", "16"]) == 1

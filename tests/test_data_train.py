@@ -1,11 +1,17 @@
 """Synthetic data generation and the training loop: determinism, logging,
 and optimizer wiring."""
 
+import math
+
 import numpy as np
 import pytest
+from test_optim import PerTensorAdamW
 
+import samaseg.train
+from samaseg.config import desk_default
 from samaseg.data import SyntheticSpec, generate_dataset, load_dataset, make_sample
 from samaseg.model import ModelConfig, SamaUNet
+from samaseg.optim import RUN, AdamW
 from samaseg.train import TrainConfig, train, write_log_csv
 
 
@@ -123,3 +129,25 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(tiny_model(), [], TrainConfig(epochs=1))
+
+    def test_run_packed_adamw_matches_per_tensor_oracle(self, monkeypatch):
+        # two epochs of the overfit recipe (scripts/run_overfit.py)
+        spec = SyntheticSpec(image_size=32, num_classes=2, count=8, seed=0)
+        rng = np.random.default_rng(spec.seed)
+        dataset = [make_sample(spec, rng, f"{i:03d}") for i in range(spec.count)]
+        mcfg = ModelConfig(in_channels=1, num_classes=2, base_channels=16,
+                           stage_depths=[1, 1, 1, 1])
+        tcfg = TrainConfig(epochs=2, iters_per_epoch=8, batch_size=2, lr=5e-4, seed=0)
+        model = SamaUNet(mcfg, np.random.default_rng(0))
+        logs = train(model, dataset, tcfg)
+        oracle_model = SamaUNet(mcfg, np.random.default_rng(0))
+        monkeypatch.setattr(samaseg.train, "AdamW", PerTensorAdamW)
+        assert train(oracle_model, dataset, tcfg) == logs
+        for (n, t), (_, u) in zip(model.named_parameters(), oracle_model.named_parameters()):
+            assert np.array_equal(t.data, u.data), n
+
+    def test_desk_default_packs_into_few_runs(self):
+        # guards against sliding back to one pass per tensor
+        model = SamaUNet(desk_default().model, np.random.default_rng(0))
+        opt = AdamW(model.named_parameters())
+        assert len(opt.runs) <= 2 * math.ceil(model.num_params() / RUN) + 1

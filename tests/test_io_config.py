@@ -10,6 +10,7 @@ from samaseg.io import (checkpoint_scalar_count, load_checkpoint, read_stn1,
                         save_checkpoint, write_pgm, write_stn1)
 from samaseg.layers import Linear, Module
 from samaseg.model import ModelConfig, SamaUNet
+from samaseg.optim import AdamW
 from samaseg.tensor import Tensor
 
 
@@ -88,6 +89,20 @@ class TestCheckpoints:
         load_checkpoint(tmp_path / "ck", model)
         for n, t in model.named_parameters():
             assert np.array_equal(t.data, original[n]), n
+
+    def test_load_after_adamw_updates_the_loaded_weights(self, rng, tmp_path):
+        saved = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", saved)
+        model = _TwoLayer(rng)
+        opt = AdamW(model.named_parameters(), lr=0.1, weight_decay=0.0)
+        load_checkpoint(tmp_path / "ck", model)
+        for _, t in model.named_parameters():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        # the first step with a unit gradient moves every weight by -lr
+        for (n, t), (_, s) in zip(model.named_parameters(), saved.named_parameters()):
+            np.testing.assert_allclose(t.data, s.data - 0.1, rtol=0, atol=1e-6, err_msg=n)
+            assert any(np.shares_memory(t.data, run.p) for run in opt.runs), n
 
     def test_scalar_count_matches_model(self, rng, tmp_path):
         model = _TwoLayer(rng)
