@@ -200,6 +200,12 @@ def check_micro_model(rng) -> CheckResult:
     return CheckResult("micro-model", err, 1e-3)
 
 
+def check_seg_loss(rng) -> CheckResult:
+    heads = [_rand(rng, (2, 3, 4, 4)), _rand(rng, (2, 3, 2, 2))]
+    mask = rng.integers(0, 3, size=(2, 4, 4))
+    return CheckResult("seg-loss", grad_check(lambda xs: seg_loss(xs, mask, 3), heads), 1e-6)
+
+
 MICRO_CHECKS: list[Callable] = [
     check_elementwise, check_matmul, check_linear_silu, check_softmax,
     check_conv2d, check_depthwise_conv, check_transpose_conv,
@@ -209,7 +215,7 @@ MICRO_CHECKS: list[Callable] = [
 FULL_CHECKS: list[Callable] = MICRO_CHECKS + [
     check_diff_agg_local, check_diff_agg_global, check_sama_block,
     check_scan, check_crmsm_scale, check_micro_model, check_transpose_conv_overlap,
-    check_crmsm_views, check_index,
+    check_crmsm_views, check_index, check_seg_loss,
 ]
 
 

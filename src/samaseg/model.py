@@ -1,7 +1,8 @@
 """Full U-shaped segmentation network: overlapping patch embedding, SAMA
 encoder stages with depthwise-separable downsampling, CR-MSM skip paths,
 a residual-convolution decoder with transpose-conv upsampling, and
-multi-scale decoding heads.
+multi-scale decoding heads; and its training loss, cross-entropy plus soft
+Dice over every head, as one autodiff op with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -221,14 +222,6 @@ def predict(model: SamaUNet, images: np.ndarray) -> np.ndarray:
     return logits.data.argmax(axis=1)
 
 
-def log_softmax_classes(logits: Tensor) -> Tensor:
-    """Log-softmax over the class axis (axis 1) of [B,K,H,W]."""
-    m = logits.max_const(axis=1, keepdims=True)
-    z = logits - Tensor(m)
-    lse = z.exp().sum(axis=1, keepdims=True).log()
-    return z - lse
-
-
 def _resize_mask_nearest(mask: np.ndarray, h: int, w: int) -> np.ndarray:
     """[B,H,W] int mask -> [B,h,w] by nearest (floor) index mapping."""
     src_h, src_w = mask.shape[-2], mask.shape[-1]
@@ -245,36 +238,49 @@ def ds_weights(num_heads: int) -> np.ndarray:
 
 def seg_loss(logits: list[Tensor], mask: np.ndarray, num_classes: int,
              eps: float = 1e-5) -> Tensor:
-    """Composite soft-Dice + cross-entropy over deep-supervision heads.
+    """Composite soft-Dice + cross-entropy over deep-supervision heads, as one op.
 
     `mask` is the [B,H,W] integer ground truth at full resolution; coarser
-    heads compare against its nearest-downsampled version.
+    heads compare against its nearest-downsampled version. Per head, with p
+    the class softmax, g the one-hot mask, N = B*H*W and sums over batch and
+    pixels: CE = -sum(g log p)/N and Dice = 1 - mean over classes c >= 1 of
+    r_c = (2 I_c + eps)/D_c, I_c = sum p_c g_c, D_c = sum p_c + sum g_c + eps.
+    A head of weight w gets the gradient w [(p - g)/N + p (q - sum_k q_k p_k)],
+    q_c = (r_c - 2 g_c)/(D_c (K-1)) on c >= 1 and q_0 = 0 (no Dice at K = 1).
     """
     if mask.min() < 0 or mask.max() >= num_classes:
         raise ValueError(f"mask labels must lie in [0, {num_classes}), got "
                          f"[{mask.min()}, {mask.max()}]")
-    weights = ds_weights(len(logits))
     total = None
-    for head, w in zip(logits, weights):
+    grads = []
+    for head, w in zip(logits, ds_weights(len(logits))):
         b, k, hh, ww = head.shape
+        dt = head.dtype.type
         m = _resize_mask_nearest(mask, hh, ww)
         onehot = np.zeros((b, k, hh, ww), dtype=head.dtype)
         np.put_along_axis(onehot, m[:, None], 1.0, axis=1)
-        onehot_t = Tensor(onehot)
 
-        logp = log_softmax_classes(head)
-        ce = -(logp * onehot_t).sum(axis=1).mean()
-
+        # the float operations, in order, of the composite autodiff chain the
+        # tests keep as oracle, so the value matches it bit for bit
+        z = head.data - head.data.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
+        head_loss = -((logp * onehot).sum(axis=1).sum() * dt(1.0 / (b * hh * ww)))
+        q = np.zeros_like(p)
         if k > 1:
-            # soft Dice of every foreground class at once: sums over batch and pixels
-            p = logp.exp()[:, 1:]
-            g = onehot[:, 1:]
             axes = (0, 2, 3)
-            inter = (p * Tensor(g)).sum(axis=axes)
-            denom = p.sum(axis=axes) + Tensor(g.sum(axis=axes)) + eps
-            dice_loss = 1.0 - ((inter * 2.0 + eps) / denom).mean()
-        else:
-            dice_loss = Tensor(np.zeros((), dtype=head.dtype))
-        head_loss = ce + dice_loss
-        total = head_loss * float(w) if total is None else total + head_loss * float(w)
-    return total
+            pf, gf = p[:, 1:], onehot[:, 1:]
+            denom = pf.sum(axis=axes) + gf.sum(axis=axes) + dt(eps)
+            ratio = ((pf * gf).sum(axis=axes) * dt(2.0) + dt(eps)) / denom
+            head_loss = head_loss + (dt(1.0) - ratio.sum() * dt(1.0 / (k - 1)))
+            q[:, 1:] = (ratio[:, None, None] - 2 * gf) / (denom * (k - 1))[:, None, None]
+        total = head_loss * dt(w) if total is None else total + head_loss * dt(w)
+        if head.requires_grad:
+            grad = (p - onehot) / (b * hh * ww) + p * (q - (q * p).sum(axis=1, keepdims=True))
+            grads.append((head, grad * dt(w)))
+
+    def bwd(g):
+        for head, grad in grads:
+            head._accumulate(grad * g, owned=True)
+
+    return Tensor._op(np.asarray(total), logits, bwd)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .layers import Linear, Module
 from .profiler import record_macs
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 
 class SelectiveSsm(Module):
@@ -71,10 +71,10 @@ class SelectiveSsm(Module):
             raise ValueError("selective scan requires a nonempty sequence")
         n = self.state_size
 
-        if self.static:
-            delta = self.delta_p.softplus().reshape(1, 1, c) * Tensor(np.ones((b, l, 1), dtype=x.dtype))
-            bm = self.b_p.reshape(1, 1, n) * Tensor(np.ones((b, l, 1), dtype=x.dtype))
-            cm = self.c_p.reshape(1, 1, n) * Tensor(np.ones((b, l, 1), dtype=x.dtype))
+        if self.static:   # one value per channel or state, broadcast by the scan
+            delta = self.delta_p.softplus().reshape(1, 1, c)
+            bm = self.b_p.reshape(1, 1, n)
+            cm = self.c_p.reshape(1, 1, n)
         else:
             delta = _project_tokens(self.proj_delta, x).softplus()   # [B,L,C]
             bm = _project_tokens(self.proj_b, x)                     # [B,L,N]
@@ -104,13 +104,15 @@ def _swap_bl(arr: np.ndarray) -> np.ndarray:
 def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
     """Fused zero-order-hold scan: h_t = exp(delta_t A) h_{t-1} + delta_t x_t B_t
     (zero state before t = 0), y_t = h_t @ C_t. delta and x [B,L,C], A [C,N],
-    bm and cm [B,L,N] give y [B,L,C]. The backward is the adjoint in the module
-    docstring."""
-    b, l, c = delta.shape
+    bm and cm [B,L,N] give y [B,L,C]; delta, bm and cm may also be [1,1,.],
+    one value for every batch entry and step. The backward is the adjoint in
+    the module docstring."""
+    b, l, c = x.shape
     n = a.shape[1]
     record_macs(3 * b * l * c * n)
     # time-major with (t, b) flattened to one row index i = t*B + b
-    dt, xt, bt, ct = (_swap_bl(v.data).reshape(l * b, -1) for v in (delta, x, bm, cm))
+    dt, xt, bt, ct = (_swap_bl(np.broadcast_to(v.data, (b, l, v.shape[-1]))).reshape(l * b, -1)
+                      for v in (delta, x, bm, cm))
     dtx = dt * xt                                            # [LB,C]
     d_a = np.exp(np.einsum("ic,cn->icn", dt, a.data))        # [LB,C,N]
     hs = np.einsum("ic,in->icn", dtx, bt)                    # dBu, turned into h in place
@@ -121,10 +123,13 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
         np.add(row, np.multiply(da_rows[t], h_rows[t - 1], out=step), out=row)
     y = (hs @ ct[:, :, None]).reshape(l, b, c)
 
+    def give(t, rows):   # [L*B,.] rows -> t's gradient, summed down to t's shape
+        t._accumulate(_unbroadcast(_swap_bl(rows.reshape(l, b, -1)), t.shape), owned=True)
+
     def bwd(g):
         gy = _swap_bl(g).reshape(l * b, c)
         if cm.requires_grad:
-            cm._accumulate(_swap_bl((gy[:, None, :] @ hs).reshape(l, b, n)), owned=True)
+            give(cm, gy[:, None, :] @ hs)
         gh = np.einsum("ic,in->icn", gy, ct)                 # gy_t C_t, then the adjoint
         gh_rows = gh.reshape(l, -1)
         for t in range(l - 2, -1, -1):
@@ -132,9 +137,9 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
             np.add(row, np.multiply(da_rows[t + 1], gh_rows[t + 1], out=step), out=row)
         gdtx = (gh @ bt[:, :, None]).reshape(l * b, c)
         if bm.requires_grad:
-            bm._accumulate(_swap_bl((dtx[:, None, :] @ gh).reshape(l, b, n)), owned=True)
+            give(bm, dtx[:, None, :] @ gh)
         if x.requires_grad:
-            x._accumulate(_swap_bl((gdtx * dt).reshape(l, b, c)), owned=True)
+            give(x, gdtx * dt)
         if delta.requires_grad or a.requires_grad:
             gz = gh_rows                                     # gh is spent; gz reuses it
             gz[1:] *= h_rows[:-1]
@@ -144,7 +149,6 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
             if a.requires_grad:
                 a._accumulate(np.einsum("icn,ic->cn", gz, dt), owned=True)
             if delta.requires_grad:
-                gd = np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt
-                delta._accumulate(_swap_bl(gd.reshape(l, b, c)), owned=True)
+                give(delta, np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt)
 
     return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)

@@ -88,9 +88,6 @@ class Tensor:
             raise ValueError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -246,17 +243,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return Tensor._coerce(other, self) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar powers are supported")
-        a = self
-        out_data = a.data ** p
-
-        def bwd(g):
-            a._accumulate(g * p * a.data ** (p - 1), owned=True)
-
-        return Tensor._op(out_data, (a,), bwd)
 
     # -- elementwise nonlinearities ----------------------------------------
 
@@ -452,10 +438,6 @@ def contract(a: Tensor, b: Tensor, axis) -> Tensor:
                               owned=t.shape != full)
 
     return Tensor._op(out_data, (a, b), bwd)
-
-
-def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def uniform(rng: np.random.Generator, shape, bound: float, dtype=np.float32,

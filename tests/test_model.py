@@ -1,12 +1,13 @@
 """Full network: shape round-trips with padding, a straight-line loss
-oracle, deep-supervision weighting, and seeded determinism."""
+oracle, the one-op loss against the autodiff chain it replaced,
+deep-supervision weighting, and seeded determinism."""
 
 import numpy as np
 import pytest
 
 from conftest import naive_softmax
-from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights,
-                           log_softmax_classes, predict, seg_loss)
+from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights, predict,
+                           seg_loss)
 from samaseg.sama import AblationFlags
 from samaseg.tensor import Tensor
 
@@ -43,6 +44,45 @@ def naive_seg_loss(heads, mask, num_classes, eps=1e-5):
             inter = (p[:, c] * g).sum()
             dice += (2 * inter + eps) / (p[:, c].sum() + g.sum() + eps)
         total += wi * (ce + 1.0 - dice / (k - 1))
+    return total
+
+
+# The composite chain the one-op loss replaced, kept as the oracle for both
+# values and gradients.
+
+def log_softmax_classes(logits: Tensor) -> Tensor:
+    """Log-softmax over the class axis (axis 1) of [B,K,H,W]."""
+    m = logits.max_const(axis=1, keepdims=True)
+    z = logits - Tensor(m)
+    lse = z.exp().sum(axis=1, keepdims=True).log()
+    return z - lse
+
+
+def composite_seg_loss(logits, mask, num_classes, eps=1e-5):
+    weights = ds_weights(len(logits))
+    total = None
+    for head, w in zip(logits, weights):
+        b, k, hh, ww = head.shape
+        m = _resize_mask_nearest(mask, hh, ww)
+        onehot = np.zeros((b, k, hh, ww), dtype=head.dtype)
+        np.put_along_axis(onehot, m[:, None], 1.0, axis=1)
+        onehot_t = Tensor(onehot)
+
+        logp = log_softmax_classes(head)
+        ce = -(logp * onehot_t).sum(axis=1).mean()
+
+        if k > 1:
+            # soft Dice of every foreground class at once: sums over batch and pixels
+            p = logp.exp()[:, 1:]
+            g = onehot[:, 1:]
+            axes = (0, 2, 3)
+            inter = (p * Tensor(g)).sum(axis=axes)
+            denom = p.sum(axis=axes) + Tensor(g.sum(axis=axes)) + eps
+            dice_loss = 1.0 - ((inter * 2.0 + eps) / denom).mean()
+        else:
+            dice_loss = Tensor(np.zeros((), dtype=head.dtype))
+        head_loss = ce + dice_loss
+        total = head_loss * float(w) if total is None else total + head_loss * float(w)
     return total
 
 
@@ -117,10 +157,31 @@ class TestLoss:
         with pytest.raises(ValueError):
             seg_loss(logits, np.full((1, 4, 4), 2), 2)
 
-    def test_log_softmax_normalized(self, rng):
-        z = rng.uniform(-3, 3, size=(2, 4, 3, 3))
-        lp = log_softmax_classes(Tensor(z)).data
-        np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("num_heads", [1, 2, 3, 4])
+    def test_one_op_matches_composite_chain(self, rng, dtype, tol, k, num_heads):
+        heads = [rng.uniform(-3, 3, size=(2, k, 16 >> i, 12 >> i)).astype(dtype)
+                 for i in range(num_heads)]
+        mask = rng.integers(0, k, size=(2, 16, 12))
+        np.testing.assert_allclose(
+            np.exp(log_softmax_classes(Tensor(heads[0])).data).sum(axis=1), 1.0, atol=tol)
+        results = []
+        for loss_fn in (seg_loss, composite_seg_loss):
+            # the second head takes no gradient
+            leaves = [Tensor(h, requires_grad=i != 1) for i, h in enumerate(heads)]
+            loss = loss_fn(leaves, mask, k)
+            loss.backward()
+            results.append((loss.data.reshape(()), [t.grad for t in leaves]))
+        (got, got_grads), (want, want_grads) = results
+        # the forward repeats the chain's float operations in order
+        assert got.dtype == dtype and np.array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            if w is None:
+                assert g is None
+                continue
+            assert g.dtype == dtype
+            np.testing.assert_allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
 
     def test_loss_differentiable(self, rng):
         head = Tensor(rng.uniform(-1, 1, size=(1, 2, 4, 4)), requires_grad=True,
@@ -253,7 +314,8 @@ class TestGraphSize:
         # (209, then 69 transposes here) out. Linear, LayerNorm, GroupNorm,
         # softmax and SiLU are one op each, not chains of 3-9 nodes (1,176
         # nodes here as chains); so are Conv2d and ConvTranspose2d, not
-        # chains of 6-7 nodes (699 nodes, 21 transposes here as chains)
+        # chains of 6-7 nodes (699 nodes, 21 transposes here as chains).
+        # The loss over all heads is one op, not a chain of 103 nodes
         op = vars(Tensor)["_op"].__func__
         calls = []
 
@@ -268,6 +330,9 @@ class TestGraphSize:
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 32, 32)).astype(np.float32))
         mask = rng.integers(0, 2, size=(2, 32, 32))
         monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
-        seg_loss(model(x), mask, cfg.num_classes)
-        assert len(calls) <= 494
+        logits = model(x)
+        forward = len(calls)
+        seg_loss(logits, mask, cfg.num_classes)
+        assert calls[forward:] == ["seg_loss.<locals>.bwd"]
+        assert len(calls) <= 392
         assert sum(q.startswith("Tensor.transpose.") for q in calls) <= 16

@@ -166,6 +166,36 @@ class TestScanOp:
 
         assert grad_check(f, inputs) < 1e-7
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b,l", [(1, 1), (1, 5), (3, 1), (2, 9)])
+    def test_static_broadcast_matches_ones_multiply_bitwise(self, rng, dtype, b, l):
+        # static delta, B and C enter the scan as [1,1,.] and the scan
+        # broadcasts them; the reference multiplies them by [B,L,1] ones
+        ssm = SelectiveSsm(3, 4, rng, static=True, dtype=dtype)
+        for p in ssm.parameters():
+            p.data = (p.data + rng.uniform(-0.5, 0.5, size=p.shape)).astype(dtype)
+        x_np = rng.uniform(-1, 1, size=(b, l, 3)).astype(dtype)
+        seed = rng.standard_normal((b, l, 3)).astype(dtype)
+
+        def ones_multiply(x):
+            ones = Tensor(np.ones((b, l, 1), dtype=dtype))
+            delta = ssm.delta_p.softplus().reshape(1, 1, 3) * ones
+            bm = ssm.b_p.reshape(1, 1, 4) * ones
+            cm = ssm.c_p.reshape(1, 1, 4) * ones
+            y = selective_scan(delta, x, -ssm.a_log.exp(), bm, cm)
+            return y + ssm.d_skip.reshape(1, 1, 3) * x
+
+        def run(scan):
+            ssm.zero_grad()
+            x = Tensor(x_np, requires_grad=True)
+            y = scan(x)
+            y.backward(seed)
+            return [y.data, x.grad] + [p.grad.copy() for p in ssm.parameters()]
+
+        for got, want in zip(run(ssm), run(ones_multiply), strict=True):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_forward_node_count_does_not_grow_with_length(self, rng, monkeypatch):
         # the discretisation, recurrence and readout are one node, so the
         # forward adds the same few projection and skip nodes at any length
