@@ -10,26 +10,38 @@ constant number of key tokens per query (k^2 neighbors, resp. P^2 pooled
 tokens), so the mechanism is linear in pixel count.
 
 Both branches work in one channel-major layout, [B, sub-heads, keys, HW]
-logits with the keys on axis -2, the layout `unfold` and every conv use.
+logits with the keys on axis -2, the layout im2col and every conv use.
 The differential halves are sub-heads: 2*heads sub-heads of c/2 channels
 each (plain attention: one sub-head of c channels per head), so one
 softmax over the keys serves both modes and `use_differential` only sets
-the sub-head count. The local branch contracts the queries with unfold's
-[B,sub-heads,c/2,k^2,HW] key columns over the channel axis, and the
-weights with the value columns over the key axis; the global branch is
-two matmuls with the pooled tokens. Each returns [B,heads,c,HW], which
-reshapes straight to the [B,d,H,W] map.
+the sub-head count.
+
+Each branch's core is one autodiff op with a hand-written backward, so
+the tape holds one node per core instead of a chain of contractions,
+masks, slices and products. The local core contracts the queries with
+im2col's [B,sub-heads,c/2,k^2,HW] key columns over the channel axis, adds
+a cached out-of-bounds mask, and contracts the weights with the value
+columns over the key axis; its backward runs col2im on the column
+gradients. The global core is two batched matmuls around the key softmax
+on the pooled key and value maps; the pooling stays a separate op. Both
+share `_diff_weights` (softmax over the keys, then s1 - lam * s2) and its
+adjoint `_diff_weights_grad`, and repeat in order the float operations
+of the composite unfold/contract/softmax chains that the tests keep as
+oracles, so values and gradients match those chains bit for bit. Each
+returns [B,heads,c,HW], which reshapes straight to the [B,d,H,W] map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import Conv2d, GroupNorm, Linear, Module, adaptive_avg_pool2d, softmax, unfold
-from .tensor import Tensor, contract
+from .layers import Conv2d, GroupNorm, Linear, Module, _col2im, _im2col, adaptive_avg_pool2d
+from .profiler import record_macs
+from .tensor import Tensor
 
 MASK_BIAS = -1e30  # exp underflows to exactly 0, so padded keys never contribute
 
@@ -60,14 +72,58 @@ class AttnConfig:
         return self.channels // self.heads
 
 
+def _diff_weights(logits: np.ndarray, lam: Tensor | None, heads: int):
+    """Softmax of [B,sub-heads,keys,HW] logits over the keys (axis -2),
+    then s1 - lam * s2 when each head has two sub-heads (the differential
+    halves; lam is None in plain mode). Overwrites `logits` with the
+    softmax s and returns the [B,heads,keys,HW] weights and s, which the
+    adjoint needs."""
+    s = logits
+    s -= s.max(axis=-2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-2, keepdims=True)
+    if lam is None:
+        return s, s
+    w = lam.data.reshape(1, heads, 1, 1) * s[:, 1::2]
+    np.subtract(s[:, 0::2], w, out=w)
+    return w, s
+
+
+def _diff_weights_grad(g: np.ndarray, s: np.ndarray, lam: Tensor | None, heads: int):
+    """Adjoint of `_diff_weights` for the weights' gradient g: the logits'
+    gradient s * (g_s - sum(g_s * s)), where g_s is g on the first halves
+    and -lam * g on the second, and lam's gradient (None in plain mode or
+    when lam needs none). A masked key's weight is exactly 0, so its logit
+    gets exactly 0 back."""
+    glam = None
+    if lam is not None:
+        if lam.requires_grad:
+            glam = -(g * s[:, 1::2]).sum(axis=(0, 2, 3))
+        gs = np.zeros_like(s)
+        gs[:, 0::2] += g
+        gs[:, 1::2] -= g * lam.data.reshape(1, heads, 1, 1)
+        g = gs
+    gx = g * s
+    gx -= s * gx.sum(axis=-2, keepdims=True)
+    return gx, glam
+
+
 def _key_softmax(logits: Tensor, lam: Tensor | None, heads: int) -> Tensor:
-    """Attention weights from [B,sub-heads,keys,HW] logits: softmax over the
-    keys, then s1 - lam * s2 when each head has two sub-heads (the
-    differential halves). Returns [B,heads,keys,HW]."""
-    s = softmax(logits, axis=-2)
-    if s.shape[1] == heads:
-        return s
-    return s[:, 0::2] - lam.reshape(1, heads, 1, 1) * s[:, 1::2]
+    """Attention weights from [B,sub-heads,keys,HW] logits as one op:
+    softmax over the keys, then s1 - lam * s2 when each head has two
+    sub-heads. Returns [B,heads,keys,HW]."""
+    if logits.shape[1] == heads:
+        lam = None
+    w, s = _diff_weights(logits.data.copy(), lam, heads)
+
+    def bwd(g):
+        gx, glam = _diff_weights_grad(g, s, lam, heads)
+        if logits.requires_grad:
+            logits._accumulate(gx, owned=True)
+        if glam is not None:
+            lam._accumulate(glam, owned=True)
+
+    return Tensor._op(w, (logits,) if lam is None else (logits, lam), bwd)
 
 
 def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
@@ -89,6 +145,15 @@ def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:
     """Validity of each of the k*k neighbors per pixel; [h*w, k*k] booleans."""
     inside = np.pad(np.ones((h, w), dtype=bool), k // 2)
     return sliding_window_view(inside, (k, k)).reshape(h * w, k * k)
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_bias(h: int, w: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only [k*k, h*w] logit bias: 0 at in-bounds neighbours,
+    MASK_BIAS at zero-padded ones."""
+    bias = np.where(_neighborhood_mask(h, w, k).T, 0.0, MASK_BIAS).astype(dtype)
+    bias.setflags(write=False)
+    return bias
 
 
 class DiffAggAttention(Module):
@@ -124,33 +189,88 @@ class DiffAggAttention(Module):
         out = self.gn(attn_map.reshape(b, d, hh, ww)) * (1.0 - self.cfg.lambda_init) + pe
         return self.wo(out)
 
-    def _local_attend(self, q, k_map, v_map):
-        """Attention over each pixel's zero-padded k x k neighbourhood, read
-        straight from unfold's [B,G,c*k^2,HW] columns; [B,heads,c,HW]."""
+    def _local_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
+        """Attention over each pixel's zero-padded k x k neighbourhood as one
+        op, read straight from im2col's [B,G,c*k^2,HW] columns of the key and
+        value maps; returns [B,heads,c,HW]. The backward runs col2im on the
+        column gradients."""
         cfg = self.cfg
         b, d, hh, ww = v_map.shape
-        sub, kk, n = self.sub_heads, cfg.local_window, hh * ww
-        cs = d // sub
+        heads, sub, kk, n = cfg.heads, self.sub_heads, cfg.local_window, hh * ww
+        cs, pad = d // sub, kk // 2
+        lam = self.lam if sub != heads else None
+        scale = q.dtype.type(1.0 / cs ** 0.5)
 
-        kn = unfold(k_map, kk, kk, 1, kk // 2, sub).reshape(b, sub, cs, kk * kk, n)
-        logits = contract(q.reshape(b, sub, cs, 1, n), kn, axis=2) * (1.0 / cs ** 0.5)
-        valid = _neighborhood_mask(hh, ww, kk).T
-        mask_bias = Tensor(np.where(valid, 0.0, MASK_BIAS).astype(q.dtype))
-        attn = _key_softmax(logits + mask_bias, self.lam, cfg.heads)   # [B,h,k^2,HW]
+        qs = q.data.reshape(b, sub, cs, 1, n)
+        kcols = _im2col(k_map.data, kk, kk, 1, pad)
+        kn = kcols.reshape(b, sub, cs, kk * kk, n)
+        logits = (qs * kn).sum(axis=2)                               # [B,sub,k^2,HW]
+        logits *= scale
+        logits += _mask_bias(hh, ww, kk, q.dtype)
+        w, s = _diff_weights(logits, lam, heads)
+        wr = w.reshape(b, heads, 1, kk * kk, n)
+        vcols = _im2col(v_map.data, kk, kk, 1, pad)
+        vn = vcols.reshape(b, heads, cfg.head_dim, kk * kk, n)
+        out = (wr * vn).sum(axis=3)                                  # [B,h,c,HW]
+        record_macs(2 * b * d * kk * kk * n)
 
-        vn = unfold(v_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
-            b, cfg.heads, cfg.head_dim, kk * kk, n)
-        return contract(attn.reshape(b, cfg.heads, 1, kk * kk, n), vn, axis=3)
+        def bwd(g):
+            ge = np.expand_dims(g, 3)
+            if v_map.requires_grad:
+                gv = (ge * wr).reshape(vcols.shape)
+                v_map._accumulate(_col2im(gv, hh, ww, 1, pad), owned=True)
+            gw = (ge * vn).sum(axis=2)
+            glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+            glogits *= scale
+            gl = np.expand_dims(glogits, 2)
+            if q.requires_grad:
+                q._accumulate((gl * kn).sum(axis=3).reshape(q.shape), owned=True)
+            if k_map.requires_grad:
+                gk = (gl * qs).reshape(kcols.shape)
+                k_map._accumulate(_col2im(gk, hh, ww, 1, pad), owned=True)
+            if glam is not None:
+                lam._accumulate(glam, owned=True)
 
-    def _global_attend(self, q, k_map, v_map):
-        """Attention over the P x P pooled tokens; [B,heads,c,HW]."""
+        parents = (q, k_map, v_map) if lam is None else (q, k_map, v_map, lam)
+        return Tensor._op(out, parents, bwd)
+
+    def _global_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
+        """Attention over the P x P pooled tokens as one op on the pooled
+        key and value maps, two batched matmuls around the key softmax;
+        returns [B,heads,c,HW]."""
         cfg = self.cfg
         b, d, hh, ww = v_map.shape
-        sub, pp, n = self.sub_heads, cfg.global_pool, hh * ww
+        heads, sub, pp, n = cfg.heads, self.sub_heads, cfg.global_pool, hh * ww
         cs, m = d // sub, pp * pp
+        lam = self.lam if sub != heads else None
+        scale = q.dtype.type(1.0 / cs ** 0.5)
+        pk = adaptive_avg_pool2d(k_map, pp, pp)
+        pv = adaptive_avg_pool2d(v_map, pp, pp)
 
-        kt = adaptive_avg_pool2d(k_map, pp, pp).reshape(b, sub, cs, m).transpose(0, 1, 3, 2)
-        logits = (kt @ q.reshape(b, sub, cs, n)) * (1.0 / cs ** 0.5)   # [B,sub,P^2,HW]
-        attn = _key_softmax(logits, self.lam, cfg.heads)
-        vp = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, cfg.heads, cfg.head_dim, m)
-        return vp @ attn
+        kt = np.ascontiguousarray(pk.data.reshape(b, sub, cs, m).transpose(0, 1, 3, 2))
+        qs = q.data.reshape(b, sub, cs, n)
+        logits = np.matmul(kt, qs)                                   # [B,sub,P^2,HW]
+        logits *= scale
+        w, s = _diff_weights(logits, lam, heads)
+        vp = pv.data.reshape(b, heads, cfg.head_dim, m)
+        out = np.matmul(vp, w)                                       # [B,h,c,HW]
+        record_macs(2 * b * d * m * n)
+
+        def bwd(g):
+            if pv.requires_grad:
+                pv._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(pv.shape), owned=True)
+            gw = np.matmul(vp.swapaxes(-1, -2), g)
+            glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+            glogits *= scale
+            if pk.requires_grad:
+                gkt = np.matmul(glogits, qs.swapaxes(-1, -2))        # [B,sub,P^2,c]
+                pk._accumulate(np.ascontiguousarray(gkt.transpose(0, 1, 3, 2))
+                               .reshape(pk.shape), owned=True)
+            if q.requires_grad:
+                q._accumulate(np.matmul(kt.swapaxes(-1, -2), glogits).reshape(q.shape),
+                              owned=True)
+            if glam is not None:
+                lam._accumulate(glam, owned=True)
+
+        parents = (q, pk, pv) if lam is None else (q, pk, pv, lam)
+        return Tensor._op(out, parents, bwd)

@@ -13,6 +13,7 @@ being the other's gather. "Flipped" is full sequence reversal (a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,33 @@ from .tensor import Tensor, concat
 VIEW_COUNT = 4
 
 
+@functools.lru_cache(maxsize=64)
 def view_index(h: int, w: int, views: int = VIEW_COUNT,
                flip_mode: str = "sequence") -> np.ndarray:
-    """Row-major source position of each step of each view, int [V, H*W]:
-    the grid, its transpose, the flipped grid and the flipped transpose,
-    each flattened row-major. The transposed views scan a W x H map."""
+    """Row-major source position of each step of each view, read-only int
+    [V, H*W]: the grid, its transpose, the flipped grid and the flipped
+    transpose, each flattened row-major. The transposed views scan a W x H
+    map."""
     grid = np.arange(h * w).reshape(h, w)
     if flip_mode not in ("sequence", "mirror"):
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
     flipped = grid[::-1, ::-1] if flip_mode == "sequence" else grid[:, ::-1]
-    return np.stack([o.reshape(-1) for o in (grid, grid.T, flipped, flipped.T)[:views]])
+    idx = np.stack([o.reshape(-1) for o in (grid, grid.T, flipped, flipped.T)[:views]])
+    idx.setflags(write=False)
+    return idx
+
+
+def _inverse_index(idx: np.ndarray) -> np.ndarray:
+    """Read-only inverse permutation of each row of `idx`, built once per
+    distinct index table."""
+    return _argsort_rows(np.ascontiguousarray(idx, dtype=np.intp).tobytes(), len(idx))
+
+
+@functools.lru_cache(maxsize=64)
+def _argsort_rows(key: bytes, rows: int) -> np.ndarray:
+    inv = np.argsort(np.frombuffer(key, dtype=np.intp).reshape(rows, -1), axis=1)
+    inv.setflags(write=False)
+    return inv
 
 
 def _gather_tokens(maps: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -49,7 +67,7 @@ def _gather_maps(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Inverse of `_gather_tokens`: [V*B,L,C] tokens -> [B,V,C,N] maps."""
     tokens = tokens.reshape(len(idx), -1, *tokens.shape[1:])
     maps = np.empty((tokens.shape[1], len(idx), tokens.shape[3], idx.shape[1]), tokens.dtype)
-    for v, inv in enumerate(np.argsort(idx, axis=1)):
+    for v, inv in enumerate(_inverse_index(idx)):
         maps[:, v] = tokens[v][:, inv].transpose(0, 2, 1)
     return maps
 

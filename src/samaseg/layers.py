@@ -16,10 +16,9 @@ Every convolution (dense, grouped, depthwise) is one op, W @ im2col(x) + b
 with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns and one batched matmul,
 and so is every transpose convolution, col2im(W^T @ x) + b, which never
 multiplies inserted zeros. col2im is the exact adjoint of im2col, so each
-op's backward runs the other. `unfold`, the im2col op on its own, gathers
-the local-attention neighbourhoods.
-Adaptive pooling is one op, rows @ x @ cols^T with constant averaging
-matrices.
+op's backward runs the other; the local attention core reads its
+neighbourhoods through them too. Adaptive pooling is one op,
+rows @ x @ cols^T with averaging matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
 norm scales to 1 and shifts to 0. Convolutions use the cross-correlation
@@ -27,6 +26,8 @@ convention (no kernel flip).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -125,23 +126,6 @@ def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
         for kx in range(kw):
             xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += cols[:, :, ky, kx]
     return xp[:, :, p:p + h, p:p + w]
-
-
-def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
-           groups: int = 1) -> Tensor:
-    """im2col of [B,C,H,W] into channel-major [B,G,(C/G)*kh*kw,OH*OW]
-    zero-padded windows.
-
-    Rows are ordered (channel, ky, kx), matching a weight reshaped to
-    [G, out/G, (C/G)*kh*kw]. The backward is col2im of the gradient.
-    """
-    b, c, h, w = x.shape
-    cols = _im2col(x.data, kh, kw, stride, padding)
-
-    def bwd(g):
-        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding), owned=True)
-
-    return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -310,13 +294,17 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
     return Tensor._op(out, (x, gamma, beta), bwd)
 
 
-def _cell_matrix(n: int, cells: int, dtype) -> np.ndarray:
-    """[cells, n] averaging matrix with torch-style floor/ceil cell edges."""
+@functools.lru_cache(maxsize=64)
+def _cell_matrix(n: int, cells: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only [cells, n] averaging matrix with torch-style floor/ceil
+    cell edges."""
     i = np.arange(cells)
     lo, hi = (i * n) // cells, -(-((i + 1) * n) // cells)
     j = np.arange(n)
     inside = (j >= lo[:, None]) & (j < hi[:, None])
-    return (inside / (hi - lo)[:, None]).astype(dtype)
+    mat = (inside / (hi - lo)[:, None]).astype(dtype)
+    mat.setflags(write=False)
+    return mat
 
 
 def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:

@@ -58,7 +58,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
-        self.data: np.ndarray = np.ascontiguousarray(arr)
+        self.data: np.ndarray = np.require(arr, requirements="C")   # keeps 0-d as 0-d
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -414,30 +414,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(sl)])
 
     return Tensor._op(out_data, parts, bwd)
-
-
-def contract(a: Tensor, b: Tensor, axis) -> Tensor:
-    """Sum over `axis` (an int or a tuple) of the broadcast product a * b,
-    as one op whose backward needs only a and b, so the graph never keeps
-    the full-size product. Records the product's size as MACs."""
-    full = np.broadcast_shapes(a.shape, b.shape)
-    out_data = np.asarray((a.data * b.data).sum(axis=axis))
-    record_macs(int(np.prod(full)))
-
-    def bwd(g):
-        g = np.expand_dims(g, axis)
-        for t, other in ((a, b), (b, a)):
-            if not t.requires_grad:
-                continue
-            gt = g * other.data
-            if gt.shape == t.shape:
-                t._accumulate(gt, owned=True)
-            else:
-                # summed down to t: fresh; stretched over an axis only t spans: a view
-                t._accumulate(_unbroadcast(np.broadcast_to(gt, full), t.shape),
-                              owned=t.shape != full)
-
-    return Tensor._op(out_data, (a, b), bwd)
 
 
 def uniform(rng: np.random.Generator, shape, bound: float, dtype=np.float32,

@@ -6,7 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from samaseg.tensor import Tensor
+from samaseg.layers import _col2im, _im2col
+from samaseg.profiler import record_macs
+from samaseg.tensor import Tensor, _unbroadcast
 
 
 @pytest.fixture
@@ -18,6 +20,45 @@ def randt(rng, shape, requires_grad=True, lo=-1.0, hi=1.0):
     """Seeded float64 tensor for gradient checks."""
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=requires_grad,
                   dtype=np.float64)
+
+
+def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
+           groups: int = 1) -> Tensor:
+    """im2col of [B,C,H,W] into channel-major [B,G,(C/G)*kh*kw,OH*OW]
+    zero-padded windows as one op, rows ordered (channel, ky, kx); the
+    backward is col2im of the gradient. The local attention core's oracle
+    chain reads its key and value columns through it."""
+    b, c, h, w = x.shape
+    cols = _im2col(x.data, kh, kw, stride, padding)
+
+    def bwd(g):
+        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding), owned=True)
+
+    return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
+
+
+def contract(a: Tensor, b: Tensor, axis) -> Tensor:
+    """Sum over `axis` (an int or a tuple) of the broadcast product a * b as
+    one op whose backward needs only a and b. Records the product's size as
+    MACs. The local attention core's oracle chain contracts with it."""
+    full = np.broadcast_shapes(a.shape, b.shape)
+    out_data = np.asarray((a.data * b.data).sum(axis=axis))
+    record_macs(int(np.prod(full)))
+
+    def bwd(g):
+        g = np.expand_dims(g, axis)
+        for t, other in ((a, b), (b, a)):
+            if not t.requires_grad:
+                continue
+            gt = g * other.data
+            if gt.shape == t.shape:
+                t._accumulate(gt, owned=True)
+            else:
+                # summed down to t: fresh; stretched over an axis only t spans: a view
+                t._accumulate(_unbroadcast(np.broadcast_to(gt, full), t.shape),
+                              owned=t.shape != full)
+
+    return Tensor._op(out_data, (a, b), bwd)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,16 +1,26 @@
 """Differential aggregated attention: algebraic identities, a hand-worked
-case, straight-line numpy oracles for both branches, and exact masking."""
+case, straight-line numpy oracles for both branches, exact masking, the
+fused attention cores against the autodiff chains they replaced, and wall
+time linear in pixel count."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_conv2d, naive_softmax
+import samaseg
+from conftest import contract, naive_conv2d, naive_softmax, unfold
 from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _key_softmax,
-                               _neighborhood_mask, diff_softmax)
+                               _mask_bias, _neighborhood_mask, diff_softmax)
+from samaseg.layers import adaptive_avg_pool2d, softmax
+from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor
 
 
@@ -241,3 +251,186 @@ class TestConfigValidation:
     def test_unknown_branch_kind(self, rng):
         with pytest.raises(ValueError):
             DiffAggAttention(AttnConfig(channels=4, heads=2), "diagonal", rng)
+
+
+# The autodiff chains the fused cores replaced, kept as oracles for values
+# and gradients: softmax, two strided slices, a lambda multiply and a
+# subtract for the weights; unfold, contract and a mask add for the local
+# branch; two matmuls around a transpose for the global one.
+
+def composite_key_softmax(logits, lam, heads):
+    s = softmax(logits, axis=-2)
+    if s.shape[1] == heads:
+        return s
+    return s[:, 0::2] - lam.reshape(1, heads, 1, 1) * s[:, 1::2]
+
+
+def composite_local(attn, q, k_map, v_map):
+    cfg = attn.cfg
+    b, d, hh, ww = v_map.shape
+    sub, kk, n = attn.sub_heads, cfg.local_window, hh * ww
+    cs = d // sub
+    kn = unfold(k_map, kk, kk, 1, kk // 2, sub).reshape(b, sub, cs, kk * kk, n)
+    logits = contract(q.reshape(b, sub, cs, 1, n), kn, axis=2) * (1.0 / cs ** 0.5)
+    valid = _neighborhood_mask(hh, ww, kk).T
+    mask_bias = Tensor(np.where(valid, 0.0, MASK_BIAS).astype(q.dtype))
+    weights = composite_key_softmax(logits + mask_bias, attn.lam, cfg.heads)
+    vn = unfold(v_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
+        b, cfg.heads, cfg.head_dim, kk * kk, n)
+    return contract(weights.reshape(b, cfg.heads, 1, kk * kk, n), vn, axis=3)
+
+
+def composite_global(attn, q, k_map, v_map):
+    cfg = attn.cfg
+    b, d, hh, ww = v_map.shape
+    sub, pp, n = attn.sub_heads, cfg.global_pool, hh * ww
+    cs, m = d // sub, pp * pp
+    kt = adaptive_avg_pool2d(k_map, pp, pp).reshape(b, sub, cs, m).transpose(0, 1, 3, 2)
+    logits = (kt @ q.reshape(b, sub, cs, n)) * (1.0 / cs ** 0.5)
+    weights = composite_key_softmax(logits, attn.lam, cfg.heads)
+    vp = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, cfg.heads, cfg.head_dim, m)
+    return vp @ weights
+
+
+CORE_INPUTS = ("q", "k_map", "v_map", "lam")
+
+
+def _run_core(core, attn, arrays, frozen, seed):
+    """Value and input gradients of one attention core on fresh tensors;
+    the input named `frozen` does not require a gradient."""
+    ts = {name: Tensor(a, requires_grad=name != frozen) for name, a in arrays.items()}
+    attn.lam = ts["lam"]
+    out = core(ts["q"], ts["k_map"], ts["v_map"])
+    out.backward(seed.astype(out.dtype))
+    return out.data, {name: t.grad for name, t in ts.items()}
+
+
+def _assert_core_matches_chain(kind, use_differential, b, hw, size, dtype, frozen):
+    heads, d = 2, 8
+    cfg = AttnConfig(channels=d, heads=heads, local_window=size if kind == "local" else 3,
+                     global_pool=size if kind == "global" else 2,
+                     use_differential=use_differential)
+    attn = DiffAggAttention(cfg, kind, np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(1)
+    arrays = {name: rng.uniform(-2, 2, size=(b, d) + hw).astype(dtype)
+              for name in ("q", "k_map", "v_map")}
+    arrays["lam"] = rng.uniform(0.2, 0.9, size=heads).astype(dtype)
+    seed = rng.standard_normal((b, heads, d // heads, hw[0] * hw[1]))
+    fused = attn._local_attend if kind == "local" else attn._global_attend
+    chain = composite_local if kind == "local" else composite_global
+    out, grads = _run_core(fused, attn, arrays, frozen, seed)
+    ref, ref_grads = _run_core(lambda *t: chain(attn, *t), attn, arrays, frozen, seed)
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    for name in CORE_INPUTS:
+        if ref_grads[name] is None:
+            assert grads[name] is None, name
+        else:
+            assert grads[name].dtype == ref_grads[name].dtype
+            assert np.array_equal(grads[name], ref_grads[name]), name
+    expect_lam = use_differential and frozen != "lam"
+    assert (grads["lam"] is not None) == expect_lam
+
+
+class TestFusedCores:
+    # 3x5 and 4x4 maps; pool 2 does not divide 3x5 and pool 3 does not divide 4x4
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [3, 5], ids=["window3", "window5"])
+    @pytest.mark.parametrize("hw", [(3, 5), (4, 4)], ids=["3x5", "4x4"])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
+    def test_local_core_matches_chain_bitwise(self, use_differential, b, hw, size, dtype):
+        _assert_core_matches_chain("local", use_differential, b, hw, size, dtype, None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [2, 3], ids=["pool2", "pool3"])
+    @pytest.mark.parametrize("hw", [(3, 5), (4, 4)], ids=["3x5", "4x4"])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
+    def test_global_core_matches_chain_bitwise(self, use_differential, b, hw, size, dtype):
+        _assert_core_matches_chain("global", use_differential, b, hw, size, dtype, None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
+    @pytest.mark.parametrize("frozen", CORE_INPUTS)
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_input_without_gradient(self, kind, frozen, use_differential, dtype):
+        _assert_core_matches_chain(kind, use_differential, 2, (3, 5), 3, dtype, frozen)
+
+    def test_mask_bias_built_once_and_read_only(self):
+        bias = _mask_bias(3, 5, 3, np.dtype(np.float32))
+        assert _mask_bias(3, 5, 3, np.dtype(np.float32)) is bias
+        assert not bias.flags.writeable
+        assert bias.shape == (9, 15) and bias.dtype == np.float32
+        valid = _neighborhood_mask(3, 5, 3).T
+        assert np.array_equal(bias, np.where(valid, 0.0, MASK_BIAS).astype(np.float32))
+
+
+class TestCoreGraphAndMacs:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_each_core_is_one_node_with_pinned_macs(self, rng, monkeypatch, kind):
+        b, d, hh, ww = 2, 8, 5, 6
+        cfg = AttnConfig(channels=d, heads=2, local_window=5, global_pool=3)
+        attn = DiffAggAttention(cfg, kind, rng)
+        q, k_map, v_map = (Tensor(rng.uniform(-1, 1, size=(b, d, hh, ww)).astype(np.float32),
+                                  requires_grad=True) for _ in range(3))
+        op = vars(Tensor)["_op"].__func__
+        calls = []
+
+        def counted(data, parents, backward):
+            calls.append(backward.__qualname__)
+            return op(data, parents, backward)
+
+        monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+        core = attn._local_attend if kind == "local" else attn._global_attend
+        with count_macs() as counter:
+            core(q, k_map, v_map)
+        keys = (cfg.local_window if kind == "local" else cfg.global_pool) ** 2
+        assert counter.total == 2 * b * d * keys * hh * ww
+        pools = [] if kind == "local" else ["adaptive_avg_pool2d.<locals>.bwd"] * 2
+        assert calls == pools + [f"DiffAggAttention._{kind}_attend.<locals>.bwd"]
+
+    def test_key_softmax_is_one_node(self, rng):
+        logits = Tensor(rng.uniform(-1, 1, size=(1, 4, 5, 3)), requires_grad=True)
+        lam = Tensor(np.array([0.5, 0.7]), requires_grad=True)
+        out = _key_softmax(logits, lam, heads=2)
+        assert out._prev == (logits, lam)
+        assert _key_softmax(logits, None, heads=4)._prev == (logits,)
+
+
+SCALING_SCRIPT = """
+import json, sys, time
+import numpy as np
+from samaseg.attention import AttnConfig, DiffAggAttention
+from samaseg.tensor import Tensor
+kind, pool = sys.argv[1], int(sys.argv[2])
+cfg = AttnConfig(channels=16, heads=4, local_window=3, global_pool=pool)
+attn = DiffAggAttention(cfg, kind, np.random.default_rng(0))
+data_rng = np.random.default_rng(1)
+inputs = {s: data_rng.uniform(-1, 1, size=(1, 16, s, s)).astype(np.float32) for s in (32, 64)}
+best = {s: float("inf") for s in inputs}
+for _ in range(3):
+    for s, x_np in inputs.items():
+        x = Tensor(x_np, requires_grad=True)
+        t0 = time.perf_counter()
+        attn(x).sum().backward()
+        best[s] = min(best[s], time.perf_counter() - t0)
+        attn.zero_grad()
+print(json.dumps(best[64] / best[32]))
+"""
+
+
+class TestWallTimeLinearity:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_forward_backward_time_grows_linearly_in_pixels(self, kind):
+        # 4x the pixels must cost under 8x the time. Each query attends a
+        # fixed k*k window or P*P pooled grid, so the cost is linear; the
+        # same script with the pool grid as large as the map (P*P = HW keys,
+        # quadratic cost) measured over 8x. BLAS runs on one thread in a
+        # fresh interpreter, as in the scan's linearity test.
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", SCALING_SCRIPT, kind, "7"], env=env,
+                             check=True, stdout=subprocess.PIPE, text=True, timeout=300)
+        ratio = json.loads(out.stdout)
+        assert ratio < 8.0, ratio

@@ -6,8 +6,8 @@ scan of all views against each view scanned alone."""
 import numpy as np
 import pytest
 
-from samaseg.crmsm import (VIEW_COUNT, CrMsm, CrMsmConfig, CrMsmScale, from_views,
-                           to_views, view_index)
+from samaseg.crmsm import (VIEW_COUNT, CrMsm, CrMsmConfig, CrMsmScale, _inverse_index,
+                           from_views, to_views, view_index)
 from samaseg.sama import AblationFlags
 from samaseg.tensor import Tensor
 
@@ -88,6 +88,39 @@ class TestViewBijections:
     def test_unknown_flip_mode_rejected(self):
         with pytest.raises(ValueError):
             view_index(2, 2, flip_mode="diagonal")
+
+
+class TestShapeConstants:
+    def test_view_index_built_once_and_read_only(self):
+        idx = view_index(3, 5, flip_mode="mirror")
+        assert view_index(3, 5, flip_mode="mirror") is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    @pytest.mark.parametrize("flip_mode", ["sequence", "mirror"])
+    def test_inverse_index_built_once_and_read_only(self, flip_mode):
+        idx = view_index(4, 3, flip_mode=flip_mode)
+        inv = _inverse_index(idx)
+        assert _inverse_index(np.array(idx)) is inv      # keyed on the values, not the object
+        assert not inv.flags.writeable
+        np.testing.assert_array_equal(inv, np.argsort(idx, axis=1))
+        assert _inverse_index(idx[1:2]) is not inv        # a single view is its own table
+
+    def test_cached_tables_keep_round_trips_bitwise(self, rng):
+        # first and repeated calls give the same bits, forward and backward
+        x = rng.uniform(size=(2, 3, 4, 3))
+        g = rng.uniform(size=(2, VIEW_COUNT, 3, 4, 3))
+        runs = []
+        for _ in range(2):
+            xt = Tensor(x, requires_grad=True)
+            idx = view_index(4, 3)
+            back = from_views(to_views(xt, idx), idx, 4, 3)
+            back.backward(g)
+            runs.append((back.data, xt.grad))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][1], g.sum(axis=1))
 
 
 class TestIdentityReduction:

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt
+from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
-                            Module, _col2im, _im2col, adaptive_avg_pool2d, conv2d,
-                            softmax, unfold)
+                            Module, _cell_matrix, _col2im, _im2col, adaptive_avg_pool2d,
+                            conv2d, softmax)
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor
 
@@ -337,6 +337,20 @@ class TestPoolingSoftmax:
                                  np.random.default_rng(7))
 
         assert grad_check(f, [xt]) < 1e-7
+
+    def test_cell_matrices_built_once_and_read_only(self, rng):
+        x = rng.uniform(size=(2, 3, 7, 5))
+        first = adaptive_avg_pool2d(Tensor(x), 3, 2).data
+        rows = _cell_matrix(7, 3, x.dtype)
+        assert _cell_matrix(7, 3, x.dtype) is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        # a cached second call, and freshly built matrices, give the same bits
+        fresh_rows = _cell_matrix.__wrapped__(7, 3, x.dtype)
+        fresh_cols = _cell_matrix.__wrapped__(5, 2, x.dtype)
+        assert np.array_equal(adaptive_avg_pool2d(Tensor(x), 3, 2).data, first)
+        assert np.array_equal(fresh_rows @ x @ fresh_cols.T, first)
 
     def test_global_pool_is_mean(self, rng):
         x = rng.uniform(size=(2, 3, 4, 7))

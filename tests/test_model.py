@@ -315,7 +315,9 @@ class TestGraphSize:
         # softmax and SiLU are one op each, not chains of 3-9 nodes (1,176
         # nodes here as chains); so are Conv2d and ConvTranspose2d, not
         # chains of 6-7 nodes (699 nodes, 21 transposes here as chains).
-        # The loss over all heads is one op, not a chain of 103 nodes
+        # The loss over all heads is one op, not a chain of 103 nodes, and
+        # so is each attention core (392 nodes here with the cores as chains
+        # of 9-14 nodes)
         op = vars(Tensor)["_op"].__func__
         calls = []
 
@@ -334,5 +336,8 @@ class TestGraphSize:
         forward = len(calls)
         seg_loss(logits, mask, cfg.num_classes)
         assert calls[forward:] == ["seg_loss.<locals>.bwd"]
-        assert len(calls) <= 392
+        assert len(calls) <= 284
+        blocks = sum(len(stage) for stage in model.stages)
+        for kind in ("local", "global"):
+            assert calls.count(f"DiffAggAttention._{kind}_attend.<locals>.bwd") == blocks
         assert sum(q.startswith("Tensor.transpose.") for q in calls) <= 16

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from conftest import naive_matmul, randt
+from conftest import contract, naive_matmul, randt
 from samaseg.gradcheck import grad_check
 from samaseg.profiler import count_macs
-from samaseg.tensor import Tensor, concat, contract, no_grad, uniform
+from samaseg.tensor import Tensor, concat, no_grad, uniform
 
 
 class TestForwardValues:
@@ -25,6 +25,14 @@ class TestForwardValues:
         np.testing.assert_array_equal((ta * tb).data, a * b)
         np.testing.assert_array_equal((ta / tb).data, a / b)
         np.testing.assert_array_equal((-ta).data, -a)
+
+    def test_scalar_stays_zero_dimensional(self, rng):
+        assert Tensor(2.0).shape == ()
+        assert Tensor(np.zeros(())).shape == ()
+        t = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+        assert (t.sum() * 2.0).shape == ()
+        assert (2.0 - t.sum()).shape == ()
+        assert Tensor(2.0).item() == 2.0
 
     def test_unary_matches_numpy(self, rng):
         a = rng.uniform(0.1, 3, size=(4, 5))
