@@ -22,8 +22,9 @@ masks, slices and products. The local core contracts the queries with
 im2col's [B,sub-heads,c/2,k^2,HW] key columns over the channel axis, adds
 a cached out-of-bounds mask, and contracts the weights with the value
 columns over the key axis; its backward runs col2im on the column
-gradients. The global core is two batched matmuls around the key softmax
-on the pooled key and value maps; the pooling stays a separate op. Both
+gradients. The global core is `_attend_tokens`, two batched matmuls
+around the key softmax on the pooled key and value maps; the pooling
+stays a separate op, and `diff_softmax` runs on the same op. Both cores
 share `_diff_weights` (softmax over the keys, then s1 - lam * s2) and its
 adjoint `_diff_weights_grad`, and repeat in order the float operations
 of the composite unfold/contract/softmax chains that the tests keep as
@@ -108,37 +109,59 @@ def _diff_weights_grad(g: np.ndarray, s: np.ndarray, lam: Tensor | None, heads: 
     return gx, glam
 
 
-def _key_softmax(logits: Tensor, lam: Tensor | None, heads: int) -> Tensor:
-    """Attention weights from [B,sub-heads,keys,HW] logits as one op:
-    softmax over the keys, then s1 - lam * s2 when each head has two
-    sub-heads. Returns [B,heads,keys,HW]."""
-    if logits.shape[1] == heads:
+def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads: int) -> Tensor:
+    """Differential attention of N queries over M key tokens as one op, two
+    batched matmuls around the key softmax. The inputs are channel-major,
+    batch on axis 0, channels on axis 1 and positions flattened: q reads as
+    [B,sub,cs,N], k as [B,sub,cs,M] and v as [B,heads,cv,M]. lam weights
+    the second half of each head when sub = 2 * heads and is no parent
+    otherwise. Returns [B,heads,cv,N]."""
+    b, dq, dv = q.shape[0], q.shape[1], v.shape[1]
+    cs, cv, n, m = dq // sub, dv // heads, q.size // (b * dq), k.size // (b * dq)
+    if sub == heads:
         lam = None
-    w, s = _diff_weights(logits.data.copy(), lam, heads)
+    scale = q.dtype.type(1.0 / cs ** 0.5)
+
+    kt = np.ascontiguousarray(k.data.reshape(b, sub, cs, m).transpose(0, 1, 3, 2))
+    qs = q.data.reshape(b, sub, cs, n)
+    logits = np.matmul(kt, qs)                                       # [B,sub,M,N]
+    logits *= scale
+    w, s = _diff_weights(logits, lam, heads)
+    vp = v.data.reshape(b, heads, cv, m)
+    out = np.matmul(vp, w)                                           # [B,h,cv,N]
+    record_macs(b * (dq + dv) * m * n)
 
     def bwd(g):
-        gx, glam = _diff_weights_grad(g, s, lam, heads)
-        if logits.requires_grad:
-            logits._accumulate(gx, owned=True)
+        if v.requires_grad:
+            v._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(v.shape), owned=True)
+        gw = np.matmul(vp.swapaxes(-1, -2), g)
+        glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+        glogits *= scale
+        if k.requires_grad:
+            gkt = np.matmul(glogits, qs.swapaxes(-1, -2))            # [B,sub,M,cs]
+            k._accumulate(np.ascontiguousarray(gkt.transpose(0, 1, 3, 2)).reshape(k.shape),
+                          owned=True)
+        if q.requires_grad:
+            q._accumulate(np.matmul(kt.swapaxes(-1, -2), glogits).reshape(q.shape), owned=True)
         if glam is not None:
             lam._accumulate(glam, owned=True)
 
-    return Tensor._op(w, (logits,) if lam is None else (logits, lam), bwd)
+    return Tensor._op(out, (q, k, v) if lam is None else (q, k, v, lam), bwd)
 
 
 def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
     """Differential softmax attention for q [h,n,c], k [h,m,c], v [h,m,cv],
-    lam [h]; returns [h,n,cv]."""
+    lam [h]; returns [h,n,cv]. Each head's two channel halves are the
+    sub-heads of `_attend_tokens`."""
     h, n, c = q.shape
-    m = k.shape[1]
+    m, cv = k.shape[1], v.shape[2]
     if c % 2:
         raise ValueError(f"differential attention needs an even channel count, got {c}")
     c2 = c // 2
-    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 1, 3)            # [h,2,m,c/2]
-    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1)            # [h,2,c/2,n]
-    logits = (ks @ qs).reshape(1, 2 * h, m, n) * (1.0 / c2 ** 0.5)
-    attn = _key_softmax(logits, lam, h).reshape(h, m, n)
-    return attn.transpose(0, 2, 1) @ v
+    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, n)
+    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, m)
+    vs = v.transpose(0, 2, 1).reshape(1, h * cv, m)
+    return _attend_tokens(qs, ks, vs, lam, 2 * h, h).reshape(h, cv, n).transpose(0, 2, 1)
 
 
 def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:
@@ -235,42 +258,9 @@ class DiffAggAttention(Module):
         return Tensor._op(out, parents, bwd)
 
     def _global_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
-        """Attention over the P x P pooled tokens as one op on the pooled
-        key and value maps, two batched matmuls around the key softmax;
+        """Attention over the P x P pooled tokens of the key and value maps;
         returns [B,heads,c,HW]."""
-        cfg = self.cfg
-        b, d, hh, ww = v_map.shape
-        heads, sub, pp, n = cfg.heads, self.sub_heads, cfg.global_pool, hh * ww
-        cs, m = d // sub, pp * pp
-        lam = self.lam if sub != heads else None
-        scale = q.dtype.type(1.0 / cs ** 0.5)
+        pp = self.cfg.global_pool
         pk = adaptive_avg_pool2d(k_map, pp, pp)
         pv = adaptive_avg_pool2d(v_map, pp, pp)
-
-        kt = np.ascontiguousarray(pk.data.reshape(b, sub, cs, m).transpose(0, 1, 3, 2))
-        qs = q.data.reshape(b, sub, cs, n)
-        logits = np.matmul(kt, qs)                                   # [B,sub,P^2,HW]
-        logits *= scale
-        w, s = _diff_weights(logits, lam, heads)
-        vp = pv.data.reshape(b, heads, cfg.head_dim, m)
-        out = np.matmul(vp, w)                                       # [B,h,c,HW]
-        record_macs(2 * b * d * m * n)
-
-        def bwd(g):
-            if pv.requires_grad:
-                pv._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(pv.shape), owned=True)
-            gw = np.matmul(vp.swapaxes(-1, -2), g)
-            glogits, glam = _diff_weights_grad(gw, s, lam, heads)
-            glogits *= scale
-            if pk.requires_grad:
-                gkt = np.matmul(glogits, qs.swapaxes(-1, -2))        # [B,sub,P^2,c]
-                pk._accumulate(np.ascontiguousarray(gkt.transpose(0, 1, 3, 2))
-                               .reshape(pk.shape), owned=True)
-            if q.requires_grad:
-                q._accumulate(np.matmul(kt.swapaxes(-1, -2), glogits).reshape(q.shape),
-                              owned=True)
-            if glam is not None:
-                lam._accumulate(glam, owned=True)
-
-        parents = (q, pk, pv) if lam is None else (q, pk, pv, lam)
-        return Tensor._op(out, parents, bwd)
+        return _attend_tokens(q, pk, pv, self.lam, self.sub_heads, self.cfg.heads)

@@ -26,6 +26,11 @@ from .tensor import Tensor, concat
 VIEW_COUNT = 4
 
 
+def check_flip_mode(flip_mode: str):
+    if flip_mode not in ("sequence", "mirror"):
+        raise ValueError(f"unknown flip_mode {flip_mode!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def view_index(h: int, w: int, views: int = VIEW_COUNT,
                flip_mode: str = "sequence") -> np.ndarray:
@@ -33,9 +38,8 @@ def view_index(h: int, w: int, views: int = VIEW_COUNT,
     [V, H*W]: the grid, its transpose, the flipped grid and the flipped
     transpose, each flattened row-major. The transposed views scan a W x H
     map."""
+    check_flip_mode(flip_mode)
     grid = np.arange(h * w).reshape(h, w)
-    if flip_mode not in ("sequence", "mirror"):
-        raise ValueError(f"unknown flip_mode {flip_mode!r}")
     flipped = grid[::-1, ::-1] if flip_mode == "sequence" else grid[:, ::-1]
     idx = np.stack([o.reshape(-1) for o in (grid, grid.T, flipped, flipped.T)[:views]])
     idx.setflags(write=False)

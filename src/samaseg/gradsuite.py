@@ -107,7 +107,7 @@ def check_transpose_conv(rng) -> CheckResult:
 
 
 def check_transpose_conv_overlap(rng) -> CheckResult:
-    # k > s: neighbouring windows overlap, so fold accumulates several taps per pixel
+    # k > s: neighbouring windows overlap, so _col2im accumulates several taps per pixel
     conv = ConvTranspose2d(2, 3, 3, rng, stride=2, padding=1, dtype=np.float64)
     return _check_module("transpose-conv-overlap", conv, _rand(rng, (1, 2, 3, 4)), 1e-6, rng)
 

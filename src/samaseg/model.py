@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crmsm import CrMsm, CrMsmConfig
+from .crmsm import CrMsm, CrMsmConfig, check_flip_mode
 from .layers import Conv2d, ConvTranspose2d, Module
 from .profiler import mac_scope
 from .sama import AblationFlags, SamaBlock, SamaConfig
@@ -50,6 +50,9 @@ class ModelConfig:
         if min(self.channel_mults) < 1:
             raise ValueError(f"channel_mults must be at least 1 in every entry, "
                              f"got {self.channel_mults}")
+        for c in self.stage_channels:     # AttnConfig raises on bad attention settings
+            self.sama_config(c).attn_config()
+        check_flip_mode(self.flip_mode)
 
     @property
     def num_stages(self) -> int:

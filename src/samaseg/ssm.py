@@ -66,15 +66,12 @@ class SelectiveSsm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: [B,L,C] -> [B,L,C], causal left-to-right scan."""
-        b, l, c = x.shape
-        if l < 1:
+        if x.shape[1] < 1:
             raise ValueError("selective scan requires a nonempty sequence")
-        n = self.state_size
 
         if self.static:   # one value per channel or state, broadcast by the scan
-            delta = self.delta_p.softplus().reshape(1, 1, c)
-            bm = self.b_p.reshape(1, 1, n)
-            cm = self.c_p.reshape(1, 1, n)
+            delta = self.delta_p.softplus()                          # [C]
+            bm, cm = self.b_p, self.c_p                              # [N]
         else:
             delta = _project_tokens(self.proj_delta, x).softplus()   # [B,L,C]
             bm = _project_tokens(self.proj_b, x)                     # [B,L,N]
@@ -82,7 +79,7 @@ class SelectiveSsm(Module):
 
         a = -self.a_log.exp()                                # [C,N], strictly negative
         y = selective_scan(delta, x, a, bm, cm)              # [B,L,C]
-        return y + self.d_skip.reshape(1, 1, c) * x
+        return y + self.d_skip * x
 
 
 def _project_tokens(lin: Linear, tokens: Tensor) -> Tensor:
@@ -104,9 +101,9 @@ def _swap_bl(arr: np.ndarray) -> np.ndarray:
 def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
     """Fused zero-order-hold scan: h_t = exp(delta_t A) h_{t-1} + delta_t x_t B_t
     (zero state before t = 0), y_t = h_t @ C_t. delta and x [B,L,C], A [C,N],
-    bm and cm [B,L,N] give y [B,L,C]; delta, bm and cm may also be [1,1,.],
-    one value for every batch entry and step. The backward is the adjoint in
-    the module docstring."""
+    bm and cm [B,L,N] give y [B,L,C]; delta, bm and cm may also be plain
+    [C] or [N] vectors, one value for every batch entry and step. The
+    backward is the adjoint in the module docstring."""
     b, l, c = x.shape
     n = a.shape[1]
     record_macs(3 * b * l * c * n)

@@ -389,7 +389,8 @@ class Tensor:
         fancy = any(isinstance(k, (np.ndarray, list)) for k in keys)
 
         def bwd(g):
-            # in place: a full-size zeros array per slice makes per-step slicing O(L^2)
+            # in place, not a full-size zeros array per slice: the SAMA mixer's
+            # two channel halves then share one gradient buffer
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             if fancy:

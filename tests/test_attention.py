@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import samaseg
 from conftest import contract, naive_conv2d, naive_softmax, unfold
-from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _key_softmax,
-                               _mask_bias, _neighborhood_mask, diff_softmax)
+from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _attend_tokens,
+                               _diff_weights, _mask_bias, _neighborhood_mask, diff_softmax)
 from samaseg.layers import adaptive_avg_pool2d, softmax
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor
@@ -87,11 +87,14 @@ class TestDiffSoftmaxAlgebra:
         np.testing.assert_allclose(out.data, plain, atol=1e-6)
 
     def test_plain_mode_softmax_rows_sum_to_one(self, rng):
-        # one sub-head per head: plain softmax over the keys (axis -2)
-        logits = Tensor(rng.uniform(-3, 3, size=(2, 3, 5, 4)))
-        attn = _key_softmax(logits, None, heads=3)
-        assert attn.shape == (2, 3, 5, 4)
-        np.testing.assert_allclose(attn.data.sum(axis=-2), 1.0, atol=1e-6)
+        # one sub-head per head: plain softmax over the keys, so attending
+        # over all-ones values reads off row sums of one; lam is unused
+        q = Tensor(rng.uniform(-3, 3, size=(2, 3 * 2, 4)))         # [B, heads*cs, N]
+        k = Tensor(rng.uniform(-3, 3, size=(2, 3 * 2, 5)))         # M = 5 keys
+        v = Tensor(np.ones((2, 3, 5)))                             # cv = 1
+        out = _attend_tokens(q, k, v, Tensor(np.full(3, 0.5)), sub=3, heads=3)
+        assert out.shape == (2, 3, 1, 4)
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
 
 class TestMasking:
@@ -103,12 +106,13 @@ class TestMasking:
         bias[3:] = MASK_BIAS
         lam = Tensor(np.array([0.8]))
 
-        out1 = (Tensor(v) @ _key_softmax(Tensor(logits + bias), lam, heads=1)).data
+        out1 = v @ _diff_weights(logits + bias, lam, heads=1)[0]
         logits2, v2 = logits.copy(), v.copy()
         logits2[:, :, 3:] = 1e6
         v2[..., 3:] = -42.0
-        out2 = (Tensor(v2) @ _key_softmax(Tensor(logits2 + bias), lam, heads=1)).data
-        assert np.array_equal(out1, out2)
+        w2 = _diff_weights(logits2 + bias, lam, heads=1)[0]
+        assert np.array_equal(w2[:, :, 3:], np.zeros((1, 1, 2, 3)))
+        assert np.array_equal(out1, v2 @ w2)
 
     def test_neighborhood_mask_enumerated_2x2(self):
         m = _neighborhood_mask(2, 2, 3)
@@ -256,7 +260,8 @@ class TestConfigValidation:
 # The autodiff chains the fused cores replaced, kept as oracles for values
 # and gradients: softmax, two strided slices, a lambda multiply and a
 # subtract for the weights; unfold, contract and a mask add for the local
-# branch; two matmuls around a transpose for the global one.
+# branch; two matmuls around a transpose for the global one and for
+# diff_softmax.
 
 def composite_key_softmax(logits, lam, heads):
     s = softmax(logits, axis=-2)
@@ -290,6 +295,15 @@ def composite_global(attn, q, k_map, v_map):
     weights = composite_key_softmax(logits, attn.lam, cfg.heads)
     vp = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, cfg.heads, cfg.head_dim, m)
     return vp @ weights
+
+
+def composite_diff_softmax(q, k, v, lam):
+    h, n, c = q.shape
+    m, c2 = k.shape[1], c // 2
+    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 1, 3)            # [h,2,m,c/2]
+    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1)            # [h,2,c/2,n]
+    logits = (ks @ qs).reshape(1, 2 * h, m, n) * (1.0 / c2 ** 0.5)
+    return composite_key_softmax(logits, lam, h).reshape(h, m, n).transpose(0, 2, 1) @ v
 
 
 CORE_INPUTS = ("q", "k_map", "v_map", "lam")
@@ -356,6 +370,26 @@ class TestFusedCores:
     def test_input_without_gradient(self, kind, frozen, use_differential, dtype):
         _assert_core_matches_chain(kind, use_differential, 2, (3, 5), 3, dtype, frozen)
 
+    @pytest.mark.parametrize("h,n,m,c,cv", [(1, 1, 1, 2, 1), (2, 5, 7, 4, 3), (4, 9, 3, 8, 6),
+                                            (3, 17, 49, 16, 8), (2, 64, 49, 8, 8)])
+    def test_diff_softmax_matches_chain(self, h, n, m, c, cv):
+        # the core multiplies [cv,m] @ [m,n] where the chain multiplies
+        # [n,m] @ [m,cv], so BLAS may round the output and the value
+        # gradient one ulp apart (it does at m = 49)
+        rng = np.random.default_rng(2)
+        arrays = [rng.uniform(-2, 2, size=shape) for shape in ((h, n, c), (h, m, c), (h, m, cv))]
+        arrays.append(rng.uniform(0.2, 0.9, size=h))
+        seed = rng.standard_normal((h, n, cv))
+
+        def run(attend):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            out = attend(*ts)
+            out.backward(seed)
+            return [out.data] + [t.grad for t in ts]
+
+        for got, want in zip(run(diff_softmax), run(composite_diff_softmax), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
     def test_mask_bias_built_once_and_read_only(self):
         bias = _mask_bias(3, 5, 3, np.dtype(np.float32))
         assert _mask_bias(3, 5, 3, np.dtype(np.float32)) is bias
@@ -387,14 +421,30 @@ class TestCoreGraphAndMacs:
         keys = (cfg.local_window if kind == "local" else cfg.global_pool) ** 2
         assert counter.total == 2 * b * d * keys * hh * ww
         pools = [] if kind == "local" else ["adaptive_avg_pool2d.<locals>.bwd"] * 2
-        assert calls == pools + [f"DiffAggAttention._{kind}_attend.<locals>.bwd"]
+        core_op = ("DiffAggAttention._local_attend" if kind == "local" else "_attend_tokens")
+        assert calls == pools + [f"{core_op}.<locals>.bwd"]
 
-    def test_key_softmax_is_one_node(self, rng):
-        logits = Tensor(rng.uniform(-1, 1, size=(1, 4, 5, 3)), requires_grad=True)
+    def test_attend_tokens_is_one_node(self, rng, monkeypatch):
+        q, k, v = (Tensor(rng.uniform(-1, 1, size=(1, 8, m)), requires_grad=True)
+                   for m in (3, 5, 5))
         lam = Tensor(np.array([0.5, 0.7]), requires_grad=True)
-        out = _key_softmax(logits, lam, heads=2)
-        assert out._prev == (logits, lam)
-        assert _key_softmax(logits, None, heads=4)._prev == (logits,)
+        op = vars(Tensor)["_op"].__func__
+        calls = []
+
+        def counted(data, parents, backward):
+            calls.append(backward.__qualname__)
+            return op(data, parents, backward)
+
+        monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+        assert _attend_tokens(q, k, v, lam, sub=4, heads=2)._prev == (q, k, v, lam)
+        assert _attend_tokens(q, k, v, lam, sub=4, heads=4)._prev == (q, k, v)
+        assert calls == ["_attend_tokens.<locals>.bwd"] * 2
+        # diff_softmax is layout ops around the same single op
+        calls.clear()
+        diff_softmax(*(Tensor(rng.uniform(-1, 1, size=s), requires_grad=True)
+                       for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6), (2,))))
+        assert [c for c in calls if not c.startswith("Tensor.")] \
+            == ["_attend_tokens.<locals>.bwd"]
 
 
 SCALING_SCRIPT = """

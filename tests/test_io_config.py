@@ -192,6 +192,8 @@ class TestConfig:
         # more stage depths than channel multipliers must fail at parse time
         with pytest.raises(ValueError):
             parse_config("model.stage_depths = 1,1,1,1,1")
+        with pytest.raises(ValueError, match="flip_mode"):
+            parse_config("model.flip_mode = bogus")
 
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -124,6 +124,16 @@ class TestShapes:
         with pytest.raises(ValueError):
             ModelConfig(stage_depths=[1, 1, 1], channel_mults=[1, 2])
 
+    @pytest.mark.parametrize("setting", [
+        {"flip_mode": "mirrorr"}, {"local_window": 4}, {"lambda_init": 1.5},
+        {"global_pool": 0}, {"heads": 3},
+    ])
+    def test_attention_and_flip_settings_rejected_with_the_config(self, setting):
+        # the rules AttnConfig and view_index apply run when the config is
+        # made, not first when the model is built or run
+        with pytest.raises(ValueError):
+            ModelConfig(**setting)
+
 
 class TestLoss:
     def test_matches_loop_oracle(self, rng):
@@ -317,7 +327,8 @@ class TestGraphSize:
         # chains of 6-7 nodes (699 nodes, 21 transposes here as chains).
         # The loss over all heads is one op, not a chain of 103 nodes, and
         # so is each attention core (392 nodes here with the cores as chains
-        # of 9-14 nodes)
+        # of 9-14 nodes). The scan's skip term broadcasts d_skip with no
+        # reshape node (284 nodes here with one per scale)
         op = vars(Tensor)["_op"].__func__
         calls = []
 
@@ -336,8 +347,8 @@ class TestGraphSize:
         forward = len(calls)
         seg_loss(logits, mask, cfg.num_classes)
         assert calls[forward:] == ["seg_loss.<locals>.bwd"]
-        assert len(calls) <= 284
+        assert len(calls) <= 280
         blocks = sum(len(stage) for stage in model.stages)
-        for kind in ("local", "global"):
-            assert calls.count(f"DiffAggAttention._{kind}_attend.<locals>.bwd") == blocks
+        for core_op in ("DiffAggAttention._local_attend", "_attend_tokens"):
+            assert calls.count(f"{core_op}.<locals>.bwd") == blocks
         assert sum(q.startswith("Tensor.transpose.") for q in calls) <= 16

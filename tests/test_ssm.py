@@ -169,8 +169,9 @@ class TestScanOp:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b,l", [(1, 1), (1, 5), (3, 1), (2, 9)])
     def test_static_broadcast_matches_ones_multiply_bitwise(self, rng, dtype, b, l):
-        # static delta, B and C enter the scan as [1,1,.] and the scan
-        # broadcasts them; the reference multiplies them by [B,L,1] ones
+        # static delta, B and C enter the scan as plain vectors (or as
+        # [1,1,.]) and the scan broadcasts them; the reference multiplies
+        # them by [B,L,1] ones
         ssm = SelectiveSsm(3, 4, rng, static=True, dtype=dtype)
         for p in ssm.parameters():
             p.data = (p.data + rng.uniform(-0.5, 0.5, size=p.shape)).astype(dtype)
@@ -185,6 +186,15 @@ class TestScanOp:
             y = selective_scan(delta, x, -ssm.a_log.exp(), bm, cm)
             return y + ssm.d_skip.reshape(1, 1, 3) * x
 
+        def passed_as(*lead):
+            def scan(x):
+                delta = ssm.delta_p.softplus().reshape(*lead, 3)
+                bm = ssm.b_p.reshape(*lead, 4)
+                cm = ssm.c_p.reshape(*lead, 4)
+                y = selective_scan(delta, x, -ssm.a_log.exp(), bm, cm)
+                return y + ssm.d_skip.reshape(*lead, 3) * x
+            return scan
+
         def run(scan):
             ssm.zero_grad()
             x = Tensor(x_np, requires_grad=True)
@@ -192,9 +202,11 @@ class TestScanOp:
             y.backward(seed)
             return [y.data, x.grad] + [p.grad.copy() for p in ssm.parameters()]
 
-        for got, want in zip(run(ssm), run(ones_multiply), strict=True):
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+        want = run(ones_multiply)
+        for scan in (ssm, passed_as(), passed_as(1, 1)):
+            for got, ref in zip(run(scan), want, strict=True):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, ref)
 
     def test_forward_node_count_does_not_grow_with_length(self, rng, monkeypatch):
         # the discretisation, recurrence and readout are one node, so the
