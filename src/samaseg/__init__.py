@@ -4,14 +4,14 @@ state-space scan, and a U-shaped network with training, evaluation, and
 profiling tooling, all on a minimal reverse-mode autodiff tensor core."""
 
 from .attention import AttnConfig, DiffAggAttention, diff_softmax
-from .crmsm import CrMsm, CrMsmConfig, CrMsmScale
+from .crmsm import CrMsm, CrMsmScale
 from .model import ModelConfig, SamaUNet, seg_loss
-from .sama import AblationFlags, SamaBlock, SamaConfig
+from .sama import AblationFlags, SamaBlock
 from .ssm import SelectiveSsm
 from .tensor import Tensor
 
 __all__ = [
-    "AblationFlags", "AttnConfig", "CrMsm", "CrMsmConfig", "CrMsmScale",
-    "DiffAggAttention", "ModelConfig", "SamaBlock", "SamaConfig", "SamaUNet",
-    "SelectiveSsm", "Tensor", "diff_softmax", "seg_loss",
+    "AblationFlags", "AttnConfig", "CrMsm", "CrMsmScale", "DiffAggAttention",
+    "ModelConfig", "SamaBlock", "SamaUNet", "SelectiveSsm", "Tensor", "diff_softmax",
+    "seg_loss",
 ]

@@ -29,7 +29,8 @@ share `_diff_weights` (softmax over the keys, then s1 - lam * s2) and its
 adjoint `_diff_weights_grad`, and repeat in order the float operations
 of the composite unfold/contract/softmax chains that the tests keep as
 oracles, so values and gradients match those chains bit for bit. Each
-returns [B,heads,c,HW], which reshapes straight to the [B,d,H,W] map.
+returns its [B,heads,c,HW] result as the [B,d,H,W] map, so the group
+norm reads it with no reshape node.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
     batch on axis 0, channels on axis 1 and positions flattened: q reads as
     [B,sub,cs,N], k as [B,sub,cs,M] and v as [B,heads,cv,M]. lam weights
     the second half of each head when sub = 2 * heads and is no parent
-    otherwise. Returns [B,heads,cv,N]."""
+    otherwise. Returns q's shape with v's channel count, [B,heads*cv,...]."""
     b, dq, dv = q.shape[0], q.shape[1], v.shape[1]
     cs, cv, n, m = dq // sub, dv // heads, q.size // (b * dq), k.size // (b * dq)
     if sub == heads:
@@ -132,6 +133,7 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
     record_macs(b * (dq + dv) * m * n)
 
     def bwd(g):
+        g = g.reshape(b, heads, cv, n)
         if v.requires_grad:
             v._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(v.shape), owned=True)
         gw = np.matmul(vp.swapaxes(-1, -2), g)
@@ -146,7 +148,8 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
         if glam is not None:
             lam._accumulate(glam, owned=True)
 
-    return Tensor._op(out, (q, k, v) if lam is None else (q, k, v, lam), bwd)
+    return Tensor._op(out.reshape(b, dv, *q.shape[2:]),
+                      (q, k, v) if lam is None else (q, k, v, lam), bwd)
 
 
 def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
@@ -198,7 +201,7 @@ class DiffAggAttention(Module):
         self.sub_heads = cfg.heads * 2 if cfg.use_differential else cfg.heads
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, d, hh, ww = x.shape
+        d = x.shape[1]
         if d != self.cfg.channels:
             raise ValueError(f"expected {self.cfg.channels} channels, got {d}")
         q, k_map, v_map = self.wq(x), self.wk(x), self.wv(x)    # [B,d,H,W] each
@@ -209,14 +212,14 @@ class DiffAggAttention(Module):
         else:
             attn_map = self._global_attend(q, k_map, v_map)
 
-        out = self.gn(attn_map.reshape(b, d, hh, ww)) * (1.0 - self.cfg.lambda_init) + pe
+        out = self.gn(attn_map) * (1.0 - self.cfg.lambda_init) + pe
         return self.wo(out)
 
     def _local_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
         """Attention over each pixel's zero-padded k x k neighbourhood as one
         op, read straight from im2col's [B,G,c*k^2,HW] columns of the key and
-        value maps; returns [B,heads,c,HW]. The backward runs col2im on the
-        column gradients."""
+        value maps; returns the [B,d,H,W] map. The backward runs col2im on
+        the column gradients."""
         cfg = self.cfg
         b, d, hh, ww = v_map.shape
         heads, sub, kk, n = cfg.heads, self.sub_heads, cfg.local_window, hh * ww
@@ -238,7 +241,7 @@ class DiffAggAttention(Module):
         record_macs(2 * b * d * kk * kk * n)
 
         def bwd(g):
-            ge = np.expand_dims(g, 3)
+            ge = g.reshape(b, heads, cfg.head_dim, 1, n)
             if v_map.requires_grad:
                 gv = (ge * wr).reshape(vcols.shape)
                 v_map._accumulate(_col2im(gv, hh, ww, 1, pad), owned=True)
@@ -255,11 +258,11 @@ class DiffAggAttention(Module):
                 lam._accumulate(glam, owned=True)
 
         parents = (q, k_map, v_map) if lam is None else (q, k_map, v_map, lam)
-        return Tensor._op(out, parents, bwd)
+        return Tensor._op(out.reshape(b, d, hh, ww), parents, bwd)
 
     def _global_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
         """Attention over the P x P pooled tokens of the key and value maps;
-        returns [B,heads,c,HW]."""
+        returns the [B,d,H,W] map."""
         pp = self.cfg.global_pool
         pk = adaptive_avg_pool2d(k_map, pp, pp)
         pv = adaptive_avg_pool2d(v_map, pp, pp)

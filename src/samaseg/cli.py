@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_setting, desk_default, load_config
+from .config import RunConfig, desk_default, load_config, parse_config
 from .data import SyntheticSpec, generate_dataset, load_dataset
 from .gradsuite import run_suite
 from .io import load_checkpoint, write_pgm
@@ -38,9 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="config override, e.g. --set train.lr=1e-4")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--lr", type=float, dest="train.lr")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; writes a metrics CSV")
     p.add_argument("--data", required=True)
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float, dest="eval.tau")
     p.add_argument("--pgm-dir", default=None, help="export predicted masks as PGM")
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
@@ -65,14 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args) -> RunConfig:
+    """The --config file (or the desk default) with the --set items, then
+    the shorthand flags (whose dest is their config key), applied and
+    checked as one config text."""
     cfg = load_config(args.config) if args.config else desk_default()
-    for item in getattr(args, "set", []):
-        if "=" not in item:
+    items = list(getattr(args, "set", []))
+    for item in items:      # one config line each, with no comment to strip
+        if "=" not in item or "#" in item or "\n" in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        apply_setting(cfg, key, raw)
-    cfg.model.__post_init__()        # validate the overridden model, as parse_config does
-    return cfg
+    items += [f"{key}={value}" for key, value in vars(args).items()
+              if "." in key and value is not None]
+    return parse_config("\n".join(items), cfg)
 
 
 def _cmd_synth_data(args) -> int:
@@ -85,9 +88,6 @@ def _cmd_synth_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    for name in ("seed", "lr", "epochs"):
-        if getattr(args, name) is not None:
-            setattr(cfg.train, name, getattr(args, name))
     dataset = load_dataset(args.data)
     rng = np.random.default_rng(cfg.train.seed)
     model = SamaUNet(cfg.model, rng)
@@ -99,8 +99,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    if args.tau is not None:
-        cfg.eval.tau = args.tau
     dataset = load_dataset(args.data)
     rng = np.random.default_rng(cfg.train.seed)
     model = SamaUNet(cfg.model, rng)

@@ -71,8 +71,11 @@ def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = line.split("=", 1)
         apply_setting(cfg, key, raw)
-    # re-run dataclass validation after overrides
-    cfg.model.__post_init__()
+    # re-run each section's checks after the overrides
+    for f in dataclasses.fields(cfg):
+        check = getattr(getattr(cfg, f.name), "__post_init__", None)
+        if check is not None:
+            check()
     return cfg
 
 

@@ -6,22 +6,26 @@ shared selective SSM, restore the original orientation, fuse by averaging,
 and project linearly. Each view is a fixed permutation of the row-major
 positions, one row of the `view_index` table. `to_views` gathers a map
 into the scan's [V*B, H*W, C] tokens (one scan call per scale) and
-`from_views` gathers them back to [B,V,C,H,W] maps, each op's backward
-being the other's gather. "Flipped" is full sequence reversal (a
-180-degree rotation), or a horizontal mirror with `flip_mode="mirror"`.
+`from_views` scatters them back through the same table to [B,V,C,H,W]
+maps, each op's backward being the other's forward. "Flipped" is full
+sequence reversal (a 180-degree rotation), or a horizontal mirror with
+`flip_mode="mirror"`. The module reads the model's `ModelConfig`: its
+`state_size`, `ssm_static`, `flip_mode` and ablation `flags`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .layers import Conv2d, Linear, Module
-from .sama import AblationFlags
 from .ssm import SelectiveSsm
 from .tensor import Tensor, concat
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 VIEW_COUNT = 4
 
@@ -46,19 +50,6 @@ def view_index(h: int, w: int, views: int = VIEW_COUNT,
     return idx
 
 
-def _inverse_index(idx: np.ndarray) -> np.ndarray:
-    """Read-only inverse permutation of each row of `idx`, built once per
-    distinct index table."""
-    return _argsort_rows(np.ascontiguousarray(idx, dtype=np.intp).tobytes(), len(idx))
-
-
-@functools.lru_cache(maxsize=64)
-def _argsort_rows(key: bytes, rows: int) -> np.ndarray:
-    inv = np.argsort(np.frombuffer(key, dtype=np.intp).reshape(rows, -1), axis=1)
-    inv.setflags(write=False)
-    return inv
-
-
 def _gather_tokens(maps: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """[B,V,C,N] maps -> [V*B,L,C] tokens, token (v,b,k) = maps[b,v,:,idx[v,k]];
     a single map (V = 1) is read by every view."""
@@ -67,25 +58,27 @@ def _gather_tokens(maps: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return tokens.reshape(-1, idx.shape[1], maps.shape[2])
 
 
-def _gather_maps(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Inverse of `_gather_tokens`: [V*B,L,C] tokens -> [B,V,C,N] maps."""
-    tokens = tokens.reshape(len(idx), -1, *tokens.shape[1:])
-    maps = np.empty((tokens.shape[1], len(idx), tokens.shape[3], idx.shape[1]), tokens.dtype)
-    for v, inv in enumerate(_inverse_index(idx)):
-        maps[:, v] = tokens[v][:, inv].transpose(0, 2, 1)
+def _scatter_maps(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Inverse of `_gather_tokens`: [V*B,L,C] tokens -> [B,V,C,N] maps,
+    maps[b,v,:,idx[v,k]] = token (v,b,k). Each row of `idx` is a
+    permutation, so every position is written once."""
+    v, n, c = len(idx), idx.shape[1], tokens.shape[2]
+    tokens = tokens.reshape(v, -1, n, c)
+    maps = np.empty((tokens.shape[1], v, c, n), tokens.dtype)
+    maps[:, np.arange(v)[:, None], :, idx] = tokens.transpose(0, 2, 1, 3)
     return maps
 
 
 def to_views(x: Tensor, idx: np.ndarray) -> Tensor:
     """[B,C,H,W] map -> [V*B, H*W, C] tokens of the views in `idx`
     (`view_index`), view-major on the batch axis. The backward is
-    `from_views`' gather, summed over views."""
+    `from_views`' scatter, summed over views."""
     b, c, h, w = x.shape
     if idx.shape[1] != h * w:
         raise ValueError(f"view index of {idx.shape[1]} positions for a {h}x{w} map")
 
     def bwd(g):
-        x._accumulate(_gather_maps(g, idx).sum(axis=1).reshape(x.shape), owned=True)
+        x._accumulate(_scatter_maps(g, idx).sum(axis=1).reshape(x.shape), owned=True)
 
     return Tensor._op(_gather_tokens(x.data.reshape(b, 1, c, h * w), idx), (x,), bwd)
 
@@ -93,7 +86,7 @@ def to_views(x: Tensor, idx: np.ndarray) -> Tensor:
 def from_views(y: Tensor, idx: np.ndarray, h: int, w: int) -> Tensor:
     """Inverse of `to_views`: [V*B, H*W, C] view tokens -> [B,V,C,H,W] maps
     in the source orientation. The backward is `to_views`' gather per view."""
-    maps = _gather_maps(y.data, idx)
+    maps = _scatter_maps(y.data, idx)
 
     def bwd(g):
         y._accumulate(_gather_tokens(g.reshape(maps.shape), idx), owned=True)
@@ -101,21 +94,14 @@ def from_views(y: Tensor, idx: np.ndarray, h: int, w: int) -> Tensor:
     return Tensor._op(maps.reshape(*maps.shape[:3], h, w), (y,), bwd)
 
 
-@dataclass
-class CrMsmConfig:
-    state_size: int = 8
-    ssm_static: bool = False
-    flip_mode: str = "sequence"
-
-
 class CrMsmScale(Module):
     """CR-MSM for one pyramid scale of `channels` feature channels."""
 
-    def __init__(self, channels: int, cfg: CrMsmConfig, flags: AblationFlags,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
         self.channels = channels
         self.cfg = cfg
-        self.flags = flags
+        flags = cfg.flags
         if flags.use_ssm:
             self.ssm = SelectiveSsm(channels, cfg.state_size, rng,
                                     static=cfg.ssm_static, dtype=dtype)
@@ -130,9 +116,10 @@ class CrMsmScale(Module):
         b, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        idx = view_index(h, w, VIEW_COUNT if self.flags.multi_view else 1, self.cfg.flip_mode)
+        flags = self.cfg.flags
+        idx = view_index(h, w, VIEW_COUNT if flags.multi_view else 1, self.cfg.flip_mode)
         tokens = to_views(x, idx)
-        if self.flags.use_ssm:
+        if flags.use_ssm:
             y = self.ssm(tokens)
         else:
             # the conv reads each view as its oriented map; odd views are w x h
@@ -145,7 +132,7 @@ class CrMsmScale(Module):
         maps = from_views(y, idx, h, w)                      # [B,V,C,H,W]
         if len(idx) == 1:
             fused = maps.reshape(b, c, h, w)
-        elif self.flags.causal_fusion:
+        elif flags.causal_fusion:
             fused = maps.sum(axis=1) * 0.25
         else:
             fused = self.fuse_proj(maps.reshape(b, len(idx) * c, h, w))
@@ -155,9 +142,9 @@ class CrMsmScale(Module):
 class CrMsm(Module):
     """Independent CR-MSM per pyramid scale, fine to coarse."""
 
-    def __init__(self, scale_channels: list[int], cfg: CrMsmConfig, flags: AblationFlags,
+    def __init__(self, scale_channels: list[int], cfg: ModelConfig,
                  rng: np.random.Generator, dtype=np.float32):
-        self.scales = [CrMsmScale(c, cfg, flags, rng, dtype=dtype) for c in scale_channels]
+        self.scales = [CrMsmScale(c, cfg, rng, dtype=dtype) for c in scale_channels]
 
     def __call__(self, pyramid: list[Tensor]) -> list[Tensor]:
         if not pyramid:

@@ -13,11 +13,11 @@ from typing import Callable
 import numpy as np
 
 from .attention import AttnConfig, DiffAggAttention
-from .crmsm import CrMsmConfig, CrMsmScale, from_views, to_views, view_index
+from .crmsm import CrMsmScale, from_views, to_views, view_index
 from .gradcheck import grad_check
 from .layers import Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear, softmax
 from .model import ModelConfig, SamaUNet, seg_loss
-from .sama import AblationFlags, SamaBlock, SamaConfig
+from .sama import SamaBlock
 from .ssm import SelectiveSsm
 from .tensor import Tensor
 
@@ -135,9 +135,8 @@ def check_diff_agg_global(rng) -> CheckResult:
 
 
 def check_sama_block(rng) -> CheckResult:
-    cfg = SamaConfig(channels=8, expansion=2, ffn_ratio=2, heads=1,
-                     local_window=3, global_pool=2)
-    blk = SamaBlock(cfg, rng, dtype=np.float64)
+    cfg = ModelConfig(expansion=2, ffn_ratio=2, heads=1, local_window=3, global_pool=2)
+    blk = SamaBlock(8, cfg, rng, dtype=np.float64)
     return _check_module("sama-block", blk, _rand(rng, (1, 8, 4, 4)), 1e-4, rng,
                          max_elems=8)
 
@@ -154,7 +153,7 @@ def check_scan(rng) -> CheckResult:
 
 
 def check_crmsm_scale(rng) -> CheckResult:
-    scale = CrMsmScale(2, CrMsmConfig(state_size=2), AblationFlags(), rng, dtype=np.float64)
+    scale = CrMsmScale(2, ModelConfig(state_size=2), rng, dtype=np.float64)
     return _check_module("crmsm-scale", scale, _rand(rng, (1, 2, 3, 3)), 1e-4, rng,
                          max_elems=12)
 

@@ -3,6 +3,8 @@ encoder stages with depthwise-separable downsampling, CR-MSM skip paths,
 a residual-convolution decoder with transpose-conv upsampling, and
 multi-scale decoding heads; and its training loss, cross-entropy plus soft
 Dice over every head, as one autodiff op with a hand-written backward.
+`ModelConfig` is the network's one config: the SAMA blocks and CR-MSM read
+it directly.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crmsm import CrMsm, CrMsmConfig, check_flip_mode
+from .attention import AttnConfig
+from .crmsm import CrMsm, check_flip_mode
 from .layers import Conv2d, ConvTranspose2d, Module
 from .profiler import mac_scope
-from .sama import AblationFlags, SamaBlock, SamaConfig
+from .sama import AblationFlags, SamaBlock
 from .tensor import Tensor, concat, no_grad
 
 
@@ -50,8 +53,8 @@ class ModelConfig:
         if min(self.channel_mults) < 1:
             raise ValueError(f"channel_mults must be at least 1 in every entry, "
                              f"got {self.channel_mults}")
-        for c in self.stage_channels:     # AttnConfig raises on bad attention settings
-            self.sama_config(c).attn_config()
+        for c in self.stage_channels:     # the branch split and AttnConfig raise
+            self.attn_config(c)
         check_flip_mode(self.flip_mode)
 
     @property
@@ -67,11 +70,16 @@ class ModelConfig:
         # patch embed /4 plus one /2 per stage transition
         return 4 * 2 ** (self.num_stages - 1)
 
-    def sama_config(self, channels: int) -> SamaConfig:
-        return SamaConfig(channels=channels, expansion=self.expansion,
-                          ffn_ratio=self.ffn_ratio, heads=self.heads,
-                          local_window=self.local_window, global_pool=self.global_pool,
-                          lambda_init=self.lambda_init, flags=self.flags)
+    def attn_config(self, channels: int) -> AttnConfig:
+        """Settings of each attention branch of a SAMA block of `channels`
+        channels: the macro structure widens the mixer `expansion` times,
+        and the local and global branches split it evenly."""
+        inner = channels * self.expansion if self.flags.use_mamba_macro else channels
+        if inner % 2:
+            raise ValueError(f"inner channels {inner} must be even for the branch split")
+        return AttnConfig(channels=inner // 2, heads=self.heads, local_window=self.local_window,
+                          global_pool=self.global_pool, lambda_init=self.lambda_init,
+                          use_differential=self.flags.use_differential)
 
 
 class PatchEmbed(Module):
@@ -131,16 +139,13 @@ class SamaUNet(Module):
         self.cfg = cfg
         chans = cfg.stage_channels
         self.patch_embed = PatchEmbed(cfg.in_channels, chans[0], rng, dtype=dtype)
-        self.stages = [[SamaBlock(cfg.sama_config(c), rng, dtype=dtype)
-                        for _ in range(depth)]
+        self.stages = [[SamaBlock(c, cfg, rng, dtype=dtype) for _ in range(depth)]
                        for c, depth in zip(chans, cfg.stage_depths)]
         self.downs = [Downsample(chans[i], chans[i + 1], rng, dtype=dtype)
                       for i in range(cfg.num_stages - 1)]
         if cfg.flags.use_crmsm:
             crmsm_chans = chans if cfg.crmsm_on_bottleneck else chans[:-1]
-            self.crmsm = CrMsm(crmsm_chans,
-                               CrMsmConfig(cfg.state_size, cfg.ssm_static, cfg.flip_mode),
-                               cfg.flags, rng, dtype=dtype)
+            self.crmsm = CrMsm(crmsm_chans, cfg, rng, dtype=dtype)
         self.ups = [ConvTranspose2d(chans[i + 1], chans[i], 2, rng, stride=2, dtype=dtype)
                     for i in range(cfg.num_stages - 1)]
         self.dec_blocks = [ResidualConvBlock(2 * chans[i], chans[i], rng, dtype=dtype)

@@ -11,17 +11,24 @@ Token mixer with the macro structure enabled:
 
 With the macro structure disabled the mixer reduces to
 Linear(Concat(Att(split(I)))) with no pre-stage and no gate.
+
+The block and the mixer read the model's `ModelConfig`; its
+`attn_config(channels)` gives the settings of each attention branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attention import AttnConfig, DiffAggAttention
+from .attention import DiffAggAttention
 from .layers import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor, concat
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -34,40 +41,13 @@ class AblationFlags:
     causal_fusion: bool = True
 
 
-@dataclass
-class SamaConfig:
-    channels: int
-    expansion: int = 2
-    ffn_ratio: int = 4
-    heads: int = 4
-    local_window: int = 3
-    global_pool: int = 7
-    lambda_init: float = 0.8
-    flags: AblationFlags = field(default_factory=AblationFlags)
-
-    @property
-    def inner_channels(self) -> int:
-        return self.channels * self.expansion if self.flags.use_mamba_macro else self.channels
-
-    @property
-    def branch_channels(self) -> int:
-        inner = self.inner_channels
-        if inner % 2:
-            raise ValueError(f"inner channels {inner} must be even for the branch split")
-        return inner // 2
-
-    def attn_config(self) -> AttnConfig:
-        return AttnConfig(channels=self.branch_channels, heads=self.heads,
-                          local_window=self.local_window, global_pool=self.global_pool,
-                          lambda_init=self.lambda_init,
-                          use_differential=self.flags.use_differential)
-
-
 class SamaTokenMixer(Module):
-    def __init__(self, cfg: SamaConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
+        self.channels = channels
         self.cfg = cfg
-        c, inner = cfg.channels, cfg.inner_channels
-        acfg = cfg.attn_config()
+        acfg = cfg.attn_config(channels)
+        c, inner = channels, 2 * acfg.channels
         if cfg.flags.use_mamba_macro:
             self.in_proj = Linear(c, inner, rng, dtype=dtype)
             self.dw = Conv2d(inner, inner, 3, rng, stride=1, padding=1, groups=inner, dtype=dtype)
@@ -77,13 +57,12 @@ class SamaTokenMixer(Module):
         self.out_proj = Linear(inner, c, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        cfg = self.cfg
         c = x.shape[1]
-        if c != cfg.channels:
-            raise ValueError(f"expected {cfg.channels} channels, got {c}")
-        d = cfg.branch_channels
+        if c != self.channels:
+            raise ValueError(f"expected {self.channels} channels, got {c}")
+        d = self.attn_local.cfg.channels
 
-        if cfg.flags.use_mamba_macro:
+        if self.cfg.flags.use_mamba_macro:
             xx = self.dw(self.in_proj(x)).silu()
             gate = self.res_proj(x).silu()
         else:
@@ -100,10 +79,11 @@ class SamaTokenMixer(Module):
 class SamaBlock(Module):
     """Pre-norm residual block: mixer + FFN (Linear -> SiLU -> Linear)."""
 
-    def __init__(self, cfg: SamaConfig, rng: np.random.Generator, dtype=np.float32):
-        c = cfg.channels
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
+        c = channels
         self.norm1 = LayerNorm(c, dtype=dtype)
-        self.mixer = SamaTokenMixer(cfg, rng, dtype=dtype)
+        self.mixer = SamaTokenMixer(c, cfg, rng, dtype=dtype)
         self.norm2 = LayerNorm(c, dtype=dtype)
         self.ffn1 = Linear(c, c * cfg.ffn_ratio, rng, dtype=dtype)
         self.ffn2 = Linear(c * cfg.ffn_ratio, c, rng, dtype=dtype)

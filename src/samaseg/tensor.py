@@ -128,18 +128,22 @@ class Tensor:
     def backward(self, seed: np.ndarray | None = None):
         """Reverse-mode sweep from this tensor.
 
-        Without a seed the tensor must be scalar. Calling backward twice on
-        the same result is an error (double-backward is unsupported).
+        Without a seed the tensor must be scalar; a seed must have the
+        tensor's shape. Calling backward twice on the same result is an error
+        (double-backward is unsupported).
         """
         if not self.requires_grad:
             raise RuntimeError("backward on a tensor detached from any tape")
         if self._backward_ran:
             raise RuntimeError("backward already ran on this tensor; double-backward is unsupported")
-        self._backward_ran = True
         if seed is None:
             if self.size != 1:
                 raise RuntimeError(f"backward without seed requires a scalar, got shape {self.shape}")
             seed = np.ones_like(self.data)
+        elif seed.shape != self.shape:
+            raise ValueError(f"backward seed of shape {seed.shape} "
+                             f"for a tensor of shape {self.shape}")
+        self._backward_ran = True
 
         # Iterative topological order (graphs can be deep: long scans).
         topo: list[Tensor] = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from samaseg.attention import AttnConfig, DiffAggAttention, diff_softmax
-from samaseg.crmsm import VIEW_COUNT, CrMsmConfig, CrMsmScale, from_views, to_views, view_index
+from samaseg.crmsm import VIEW_COUNT, CrMsmScale, from_views, to_views, view_index
 from samaseg.data import SyntheticSpec, make_sample
 from samaseg.gradsuite import run_suite
 from samaseg.io import checkpoint_scalar_count, save_checkpoint
@@ -105,7 +105,7 @@ def test_criterion_4_crmsm_identity_and_view_bijections():
     rng = np.random.default_rng(2)
     ok = True
     # identity SSM + identity projection gives the input back bit-exactly
-    scale = CrMsmScale(3, CrMsmConfig(), AblationFlags(), rng, dtype=np.float64)
+    scale = CrMsmScale(3, ModelConfig(), rng, dtype=np.float64)
     scale.ssm = lambda tokens: tokens
     scale.proj.weight.data = np.eye(3)
     scale.proj.bias.data = np.zeros(3)

@@ -93,7 +93,7 @@ class TestDiffSoftmaxAlgebra:
         k = Tensor(rng.uniform(-3, 3, size=(2, 3 * 2, 5)))         # M = 5 keys
         v = Tensor(np.ones((2, 3, 5)))                             # cv = 1
         out = _attend_tokens(q, k, v, Tensor(np.full(3, 0.5)), sub=3, heads=3)
-        assert out.shape == (2, 3, 1, 4)
+        assert out.shape == (2, 3, 4)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
 
@@ -282,7 +282,7 @@ def composite_local(attn, q, k_map, v_map):
     weights = composite_key_softmax(logits + mask_bias, attn.lam, cfg.heads)
     vn = unfold(v_map, kk, kk, 1, kk // 2, cfg.heads).reshape(
         b, cfg.heads, cfg.head_dim, kk * kk, n)
-    return contract(weights.reshape(b, cfg.heads, 1, kk * kk, n), vn, axis=3)
+    return contract(weights.reshape(b, cfg.heads, 1, kk * kk, n), vn, axis=3).reshape(b, d, hh, ww)
 
 
 def composite_global(attn, q, k_map, v_map):
@@ -294,7 +294,7 @@ def composite_global(attn, q, k_map, v_map):
     logits = (kt @ q.reshape(b, sub, cs, n)) * (1.0 / cs ** 0.5)
     weights = composite_key_softmax(logits, attn.lam, cfg.heads)
     vp = adaptive_avg_pool2d(v_map, pp, pp).reshape(b, cfg.heads, cfg.head_dim, m)
-    return vp @ weights
+    return (vp @ weights).reshape(b, d, hh, ww)
 
 
 def composite_diff_softmax(q, k, v, lam):
@@ -329,7 +329,7 @@ def _assert_core_matches_chain(kind, use_differential, b, hw, size, dtype, froze
     arrays = {name: rng.uniform(-2, 2, size=(b, d) + hw).astype(dtype)
               for name in ("q", "k_map", "v_map")}
     arrays["lam"] = rng.uniform(0.2, 0.9, size=heads).astype(dtype)
-    seed = rng.standard_normal((b, heads, d // heads, hw[0] * hw[1]))
+    seed = rng.standard_normal((b, d) + hw)
     fused = attn._local_attend if kind == "local" else attn._global_attend
     chain = composite_local if kind == "local" else composite_global
     out, grads = _run_core(fused, attn, arrays, frozen, seed)

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from samaseg.cli import main
+from samaseg.cli import _build_parser, _load_run_config, main
 
 TINY = [
     "--set", "model.base_channels=8",
@@ -68,6 +68,18 @@ class TestOtherCommands:
         assert "TOTAL" in out and "GFLOPs" in out
 
 
+class TestRunConfig:
+    def test_shorthand_flags_set_their_config_keys_after_set_items(self):
+        args = _build_parser().parse_args([
+            "train", "--data", "d", "--out", "o", "--set", "train.lr=0.1",
+            "--seed", "3", "--lr", "0.002", "--epochs", "4"])
+        cfg = _load_run_config(args)
+        assert (cfg.train.seed, cfg.train.lr, cfg.train.epochs) == (3, 0.002, 4)
+        args = _build_parser().parse_args(
+            ["eval", "--data", "d", "--checkpoint", "c", "--out", "o", "--tau", "2.5"])
+        assert _load_run_config(args).eval.tau == 2.5
+
+
 class TestErrorHandling:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -83,6 +95,9 @@ class TestErrorHandling:
     def test_malformed_set_returns_1(self, tmp_path, capsys):
         rc = main(["profile", "--set", "model.base_channels"])
         assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        # a --set value is never cut at a config-file comment marker
+        assert main(["profile", "--set", "model.base_channels=8#4"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_set_override_is_validated_like_a_config_file(self, tmp_path, capsys):
@@ -117,6 +132,13 @@ class TestErrorHandling:
         assert main(["train", "--data", data, "--out", str(run), *TINY, *flags]) == 1
         assert f"{field} must be at least 1" in capsys.readouterr().err
         assert not run.exists()
+
+    @pytest.mark.parametrize("flags", [["--tau", "-1"], ["--set", "eval.tau=-1"]])
+    def test_negative_tau_is_rejected_before_data_is_read(self, tmp_path, capsys, flags):
+        # the data directory does not exist, so only a config check can fail first
+        assert main(["eval", "--data", str(tmp_path / "nope"), "--checkpoint",
+                     str(tmp_path / "ckpt"), "--out", str(tmp_path / "m.csv"), *flags]) == 1
+        assert "tau must be >= 0" in capsys.readouterr().err
 
     def test_missing_data_dir_returns_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),

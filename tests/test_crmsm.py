@@ -6,8 +6,8 @@ scan of all views against each view scanned alone."""
 import numpy as np
 import pytest
 
-from samaseg.crmsm import (VIEW_COUNT, CrMsm, CrMsmConfig, CrMsmScale, _inverse_index,
-                           from_views, to_views, view_index)
+from samaseg.crmsm import VIEW_COUNT, CrMsm, CrMsmScale, from_views, to_views, view_index
+from samaseg.model import ModelConfig
 from samaseg.sama import AblationFlags
 from samaseg.tensor import Tensor
 
@@ -98,15 +98,6 @@ class TestShapeConstants:
         with pytest.raises(ValueError):
             idx[0, 0] = 1
 
-    @pytest.mark.parametrize("flip_mode", ["sequence", "mirror"])
-    def test_inverse_index_built_once_and_read_only(self, flip_mode):
-        idx = view_index(4, 3, flip_mode=flip_mode)
-        inv = _inverse_index(idx)
-        assert _inverse_index(np.array(idx)) is inv      # keyed on the values, not the object
-        assert not inv.flags.writeable
-        np.testing.assert_array_equal(inv, np.argsort(idx, axis=1))
-        assert _inverse_index(idx[1:2]) is not inv        # a single view is its own table
-
     def test_cached_tables_keep_round_trips_bitwise(self, rng):
         # first and repeated calls give the same bits, forward and backward
         x = rng.uniform(size=(2, 3, 4, 3))
@@ -125,8 +116,7 @@ class TestShapeConstants:
 
 class TestIdentityReduction:
     def test_identity_ssm_and_projection_give_input_back_bitwise(self, rng):
-        scale = CrMsmScale(3, CrMsmConfig(state_size=2), AblationFlags(), rng,
-                           dtype=np.float64)
+        scale = CrMsmScale(3, ModelConfig(state_size=2), rng, dtype=np.float64)
         scale.ssm = lambda tokens: tokens           # identity scan
         scale.proj.weight.data = np.eye(3)
         scale.proj.bias.data = np.zeros(3)
@@ -136,7 +126,7 @@ class TestIdentityReduction:
 
     @pytest.mark.parametrize("h,w", [(1, 1), (1, 8), (8, 1), (5, 7)])
     def test_identity_reduction_odd_sizes(self, rng, h, w):
-        scale = CrMsmScale(2, CrMsmConfig(), AblationFlags(), rng, dtype=np.float64)
+        scale = CrMsmScale(2, ModelConfig(), rng, dtype=np.float64)
         scale.ssm = lambda tokens: tokens
         scale.proj.weight.data = np.eye(2)
         scale.proj.bias.data = np.zeros(2)
@@ -146,8 +136,7 @@ class TestIdentityReduction:
 
 class TestScaleOracle:
     def test_matches_permutation_oracle(self, rng):
-        scale = CrMsmScale(3, CrMsmConfig(state_size=4), AblationFlags(), rng,
-                           dtype=np.float64)
+        scale = CrMsmScale(3, ModelConfig(state_size=4), rng, dtype=np.float64)
         x = rng.uniform(-1, 1, size=(2, 3, 3, 4))
         b, c, h, w = x.shape
 
@@ -167,7 +156,7 @@ class TestScaleOracle:
 
     def test_single_view_when_multi_view_off(self, rng):
         flags = AblationFlags(multi_view=False)
-        scale = CrMsmScale(2, CrMsmConfig(state_size=2), flags, rng, dtype=np.float64)
+        scale = CrMsmScale(2, ModelConfig(state_size=2, flags=flags), rng, dtype=np.float64)
         x = rng.uniform(size=(1, 2, 3, 3))
         tokens = x.reshape(1, 2, 9).transpose(0, 2, 1)
         y = scale.ssm(Tensor(tokens)).data
@@ -177,7 +166,7 @@ class TestScaleOracle:
 
     def test_learned_fusion_when_causal_fusion_off(self, rng):
         flags = AblationFlags(causal_fusion=False)
-        scale = CrMsmScale(2, CrMsmConfig(state_size=2), flags, rng)
+        scale = CrMsmScale(2, ModelConfig(state_size=2, flags=flags), rng)
         assert hasattr(scale, "fuse_proj")
         assert scale.fuse_proj.weight.shape == (2, 8)
         out = scale(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
@@ -185,14 +174,14 @@ class TestScaleOracle:
 
     def test_conv_fallback_when_ssm_off(self, rng):
         flags = AblationFlags(use_ssm=False)
-        scale = CrMsmScale(2, CrMsmConfig(), flags, rng)
+        scale = CrMsmScale(2, ModelConfig(flags=flags), rng)
         assert not hasattr(scale, "ssm") and hasattr(scale, "conv")
         out = scale(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
         assert out.shape == (1, 2, 4, 4)
 
     def test_conv_fallback_on_non_square_map_matches_oriented_convs(self, rng):
         # each view's conv reads its oriented map: the transposed views are 5x3
-        scale = CrMsmScale(2, CrMsmConfig(), AblationFlags(use_ssm=False), rng,
+        scale = CrMsmScale(2, ModelConfig(flags=AblationFlags(use_ssm=False)), rng,
                            dtype=np.float64)
         x = rng.uniform(-1, 1, size=(2, 2, 3, 5))
         t = (0, 1, 3, 2)
@@ -211,7 +200,7 @@ class TestBatchedViews:
     @pytest.mark.parametrize("flip_mode", ["sequence", "mirror"])
     def test_one_scan_call_matches_per_view_calls_bitwise(self, rng, flip_mode, multi_view):
         flags = AblationFlags(multi_view=multi_view)
-        scale = CrMsmScale(4, CrMsmConfig(state_size=3, flip_mode=flip_mode), flags, rng)
+        scale = CrMsmScale(4, ModelConfig(state_size=3, flip_mode=flip_mode, flags=flags), rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 4, 3, 5)).astype(np.float32))
         n_views = VIEW_COUNT if multi_view else 1
         ssm = scale.ssm
@@ -229,8 +218,7 @@ class TestBatchedViews:
 
 class TestPyramid:
     def test_independent_per_scale(self, rng):
-        mod = CrMsm([2, 4], CrMsmConfig(state_size=2), AblationFlags(), rng,
-                    dtype=np.float64)
+        mod = CrMsm([2, 4], ModelConfig(state_size=2), rng, dtype=np.float64)
         f0 = rng.uniform(size=(1, 2, 4, 4))
         f1 = rng.uniform(size=(1, 4, 2, 2))
         out_a = mod([Tensor(f0), Tensor(f1)])
@@ -239,7 +227,7 @@ class TestPyramid:
         assert out_a[0].shape == (1, 2, 4, 4) and out_a[1].shape == (1, 4, 2, 2)
 
     def test_scale_count_mismatch_rejected(self, rng):
-        mod = CrMsm([2], CrMsmConfig(), AblationFlags(), rng)
+        mod = CrMsm([2], ModelConfig(), rng)
         with pytest.raises(ValueError):
             mod([])
         with pytest.raises(ValueError):

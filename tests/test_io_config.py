@@ -195,6 +195,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="flip_mode"):
             parse_config("model.flip_mode = bogus")
 
+    def test_eval_settings_revalidated_after_override(self):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            parse_config("eval.tau = -1")
+
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("train.seed = 42\n")

@@ -328,7 +328,9 @@ class TestGraphSize:
         # The loss over all heads is one op, not a chain of 103 nodes, and
         # so is each attention core (392 nodes here with the cores as chains
         # of 9-14 nodes). The scan's skip term broadcasts d_skip with no
-        # reshape node (284 nodes here with one per scale)
+        # reshape node (284 nodes here with one per scale), and each
+        # attention core returns the [B,d,H,W] map with no reshape node
+        # (280 nodes here with one per core)
         op = vars(Tensor)["_op"].__func__
         calls = []
 
@@ -347,8 +349,8 @@ class TestGraphSize:
         forward = len(calls)
         seg_loss(logits, mask, cfg.num_classes)
         assert calls[forward:] == ["seg_loss.<locals>.bwd"]
-        assert len(calls) <= 280
+        assert len(calls) <= 272
         blocks = sum(len(stage) for stage in model.stages)
         for core_op in ("DiffAggAttention._local_attend", "_attend_tokens"):
             assert calls.count(f"{core_op}.<locals>.bwd") == blocks
-        assert sum(q.startswith("Tensor.transpose.") for q in calls) <= 16
+        assert sum(q.startswith("Tensor.transpose.") for q in calls) <= 12

@@ -1,0 +1,28 @@
+"""The package's public surface: every exported name resolves, and every
+CLI subcommand prints its help. No other test imports the package's
+`__all__` or asks a subcommand for --help, so a stale export or a broken
+argument declaration would otherwise pass the suite."""
+
+import pytest
+
+import samaseg
+from samaseg.cli import _build_parser, main
+
+
+def test_every_exported_name_resolves():
+    assert samaseg.__all__
+    for name in samaseg.__all__:
+        assert getattr(samaseg, name, None) is not None, name
+
+
+def _subcommands():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: samaseg {command}" in capsys.readouterr().out

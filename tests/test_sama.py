@@ -4,52 +4,52 @@ mixer, and exact residual behaviour."""
 import numpy as np
 import pytest
 
-from samaseg.sama import AblationFlags, SamaBlock, SamaConfig, SamaTokenMixer
+from samaseg.model import ModelConfig
+from samaseg.sama import AblationFlags, SamaBlock, SamaTokenMixer
 from samaseg.tensor import Tensor
 
 
 def small_cfg(**kw):
-    base = dict(channels=8, expansion=2, ffn_ratio=2, heads=2,
-                local_window=3, global_pool=2)
+    base = dict(expansion=2, ffn_ratio=2, heads=2, local_window=3, global_pool=2)
     base.update(kw)
-    return SamaConfig(**base)
+    return ModelConfig(**base)
 
 
 class TestShapes:
     @pytest.mark.parametrize("h,w", [(4, 4), (3, 5), (7, 2)])
     def test_block_preserves_shape(self, rng, h, w):
-        blk = SamaBlock(small_cfg(), rng)
+        blk = SamaBlock(8, small_cfg(), rng)
         out = blk(Tensor(np.zeros((2, 8, h, w), dtype=np.float32)))
         assert out.shape == (2, 8, h, w)
 
     def test_channel_mismatch_rejected(self, rng):
-        mixer = SamaTokenMixer(small_cfg(), rng)
+        mixer = SamaTokenMixer(8, small_cfg(), rng)
         with pytest.raises(ValueError):
             mixer(Tensor(np.zeros((1, 6, 4, 4), dtype=np.float32)))
 
     def test_odd_channels_without_macro_rejected(self, rng):
-        cfg = small_cfg(channels=3, flags=AblationFlags(use_mamba_macro=False))
+        cfg = small_cfg(flags=AblationFlags(use_mamba_macro=False))
         with pytest.raises(ValueError):
-            SamaTokenMixer(cfg, rng)
+            SamaTokenMixer(3, cfg, rng)
 
 
 class TestMacroStructure:
     def test_macro_adds_parameters(self, rng):
-        on = SamaTokenMixer(small_cfg(), rng)
-        off = SamaTokenMixer(small_cfg(flags=AblationFlags(use_mamba_macro=False)), rng)
+        on = SamaTokenMixer(8, small_cfg(), rng)
+        off = SamaTokenMixer(8, small_cfg(flags=AblationFlags(use_mamba_macro=False)), rng)
         assert on.num_params() > off.num_params()
         for attr in ("in_proj", "dw", "res_proj"):
             assert hasattr(on, attr) and not hasattr(off, attr)
 
     def test_macro_expands_attention_width(self):
         cfg = small_cfg()
-        assert cfg.inner_channels == 16 and cfg.branch_channels == 8
+        assert cfg.attn_config(8).channels == 8
         cfg_off = small_cfg(flags=AblationFlags(use_mamba_macro=False))
-        assert cfg_off.inner_channels == 8 and cfg_off.branch_channels == 4
+        assert cfg_off.attn_config(8).channels == 4
 
     def test_gate_multiplies_attention_output(self, rng):
         # zeroing the gate projection kills the mixer output entirely
-        mixer = SamaTokenMixer(small_cfg(), rng, dtype=np.float64)
+        mixer = SamaTokenMixer(8, small_cfg(), rng, dtype=np.float64)
         mixer.res_proj.weight.data[:] = 0.0
         mixer.res_proj.bias.data[:] = 0.0  # silu(0) = 0 gate
         mixer.out_proj.bias.data[:] = 0.0
@@ -57,7 +57,7 @@ class TestMacroStructure:
         np.testing.assert_array_equal(mixer(x).data, np.zeros((1, 8, 4, 4)))
 
     def test_non_differential_flag_forwards(self, rng):
-        blk = SamaBlock(small_cfg(flags=AblationFlags(use_differential=False)), rng)
+        blk = SamaBlock(8, small_cfg(flags=AblationFlags(use_differential=False)), rng)
         out = blk(Tensor(np.random.default_rng(2).uniform(size=(1, 8, 4, 4))
                          .astype(np.float32)))
         assert out.shape == (1, 8, 4, 4) and np.all(np.isfinite(out.data))
@@ -65,7 +65,7 @@ class TestMacroStructure:
 
 class TestResidual:
     def test_zeroed_branches_give_exact_identity(self, rng):
-        blk = SamaBlock(small_cfg(), rng, dtype=np.float64)
+        blk = SamaBlock(8, small_cfg(), rng, dtype=np.float64)
         blk.mixer.out_proj.weight.data[:] = 0.0
         blk.mixer.out_proj.bias.data[:] = 0.0
         blk.ffn2.weight.data[:] = 0.0
@@ -74,7 +74,7 @@ class TestResidual:
         assert np.array_equal(blk(Tensor(x)).data, x)
 
     def test_gradient_reaches_input_and_all_parameters(self, rng):
-        blk = SamaBlock(small_cfg(), rng, dtype=np.float64)
+        blk = SamaBlock(8, small_cfg(), rng, dtype=np.float64)
         x = Tensor(np.random.default_rng(4).uniform(size=(1, 8, 4, 4)),
                    requires_grad=True, dtype=np.float64)
         blk(x).sum().backward()

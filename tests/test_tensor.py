@@ -11,6 +11,7 @@ from scipy.special import expit
 
 from conftest import contract, naive_matmul, randt
 from samaseg.gradcheck import grad_check
+from samaseg.layers import Linear
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor, concat, no_grad, uniform
 
@@ -284,6 +285,19 @@ class TestGraphContract:
         x = Tensor(np.ones(3))
         with pytest.raises(RuntimeError):
             (x * 2.0).sum().backward()
+
+    def test_seed_of_another_shape_rejected(self, rng):
+        # a seed that broadcasts, or has the right size only, is an error
+        x = randt(rng, (2, 3))
+        y = x * 2.0
+        with pytest.raises(ValueError, match="shape"):
+            y.backward(np.ones((4, 2, 3)))
+        y.backward(np.ones((2, 3)))          # the rejected seed left no mark
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        out = Linear(3, 2, rng, dtype=np.float64)(randt(rng, (4, 3, 5)))
+        assert out.shape == (4, 2, 5)
+        with pytest.raises(ValueError, match="shape"):
+            out.backward(np.ones((4, 5, 2)))
 
     def test_no_graph_when_not_required(self):
         x = Tensor(np.ones(3), requires_grad=False)
