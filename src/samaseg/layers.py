@@ -17,8 +17,12 @@ with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns and one batched matmul,
 and so is every transpose convolution, col2im(W^T @ x) + b, which never
 multiplies inserted zeros. col2im is the exact adjoint of im2col, so each
 op's backward runs the other; the local attention core reads its
-neighbourhoods through them too. Adaptive pooling is one op,
-rows @ x @ cols^T with averaging matrices built once per shape.
+neighbourhoods through them too. A convolution's tape node keeps x, W and
+b but not its columns, k^2 copies of x: the backward rebuilds the same
+columns from x for W's gradient, so a forward that is never differentiated
+builds them once. A 1x1 stride-1 window's columns are x itself, with no
+copy. Adaptive pooling is one op, rows @ x @ cols^T with averaging
+matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
 norm scales to 1 and shifts to 0. Convolutions use the cross-correlation
@@ -102,8 +106,11 @@ class Linear(Module):
 
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
     """[B,C,H,W] -> [B,C,kh,kw,OH,OW] zero-padded windows, one strided copy
-    per tap, so every copy moves whole output rows."""
+    per tap, so every copy moves whole output rows. A 1x1 stride-1 window
+    with no padding is `x` itself, reshaped with no copy."""
     b, c, h, w = x.shape
+    if kh == kw == s == 1 and not p:
+        return np.ascontiguousarray(x).reshape(b, c, 1, 1, h, w)
     oh = (h + 2 * p - kh) // s + 1
     ow = (w + 2 * p - kw) // s + 1
     xp = x
@@ -117,22 +124,41 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
     return cols
 
 
+def _tap_range(k: int, s: int, p: int, n: int, on: int) -> tuple[int, int]:
+    """Output positions [lo, hi) whose tap k reads inside an input extent n,
+    i.e. 0 <= o*s + k - p < n."""
+    return max(0, -((k - p) // s)), min(on, (n - 1 + p - k) // s + 1)
+
+
 def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
-    """Adjoint of `_im2col`: [B,C,kh,kw,OH,OW] -> [B,C,H,W], one in-place
-    add per tap into a zero-padded buffer, then a crop."""
+    """Adjoint of `_im2col`: [B,C,kh,kw,OH,OW] -> contiguous [B,C,H,W]. Each
+    tap adds its in-bounds rectangle, in tap order, straight into the
+    zeroed result, so no padded buffer is staged and a tap that reads only
+    padding adds nothing. A 1x1 stride-1 window with no padding is `cols`
+    reshaped."""
     b, c, kh, kw, oh, ow = cols.shape
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    if kh == kw == s == 1 and not p:
+        return cols.reshape(b, c, h, w)
+    x = np.zeros((b, c, h, w), dtype=cols.dtype)
     for ky in range(kh):
+        y0, y1 = _tap_range(ky, s, p, h, oh)
         for kx in range(kw):
-            xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += cols[:, :, ky, kx]
-    return xp[:, :, p:p + h, p:p + w]
+            x0, x1 = _tap_range(kx, s, p, w, ow)
+            if y0 < y1 and x0 < x1:
+                x[:, :, y0 * s + ky - p:(y1 - 1) * s + ky - p + 1:s,
+                  x0 * s + kx - p:(x1 - 1) * s + kx - p + 1:s] += cols[:, :, ky, kx, y0:y1, x0:x1]
+    return x
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
-    one op, W @ im2col(x) + b; the backward gives x as col2im(W^T @ g), W
-    as g @ cols^T summed over the batch and b as g summed."""
+    one op, W @ im2col(x) + b. The forward drops its columns after the one
+    matmul: the node keeps only x, W and b, not the k^2-fold columns. The
+    backward gives b as g summed, x as col2im(W^T @ g) (a broadcast product
+    when each group has one output channel, where the matmul's inner
+    dimension is 1), and W as g @ cols^T summed over the batch, rebuilding
+    the same columns from x only when W needs its gradient."""
     b, c, h, w = x.shape
     out_ch, cg, kh, kw = weight.shape
     if c % groups or out_ch % groups or cg != c // groups:
@@ -142,23 +168,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    cm = _im2col(x.data, kh, kw, stride, padding).reshape(b, groups, -1, oh * ow)
+
+    def columns():
+        return _im2col(x.data, kh, kw, stride, padding).reshape(b, groups, -1, oh * ow)
+
     wm = weight.data.reshape(groups, out_ch // groups, cg * kh * kw)
-    y = np.matmul(wm, cm).reshape(b, out_ch, oh, ow)
-    record_macs(y.size * cm.shape[-2])
+    y = np.matmul(wm, columns()).reshape(b, out_ch, oh, ow)
+    record_macs(y.size * wm.shape[-1])
     if bias is not None:
         y += bias.data.reshape(1, out_ch, 1, 1)
 
     def bwd(g):
         gm = g.reshape(b, groups, out_ch // groups, oh * ow)
         if weight.requires_grad:
-            gw = np.matmul(gm, cm.swapaxes(-1, -2)).sum(axis=0)
+            gw = np.matmul(gm, columns().swapaxes(-1, -2)).sum(axis=0)
             weight._accumulate(gw.reshape(weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
-            gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(b, c, kh, kw, oh, ow)
-            x._accumulate(_col2im(gcols, h, w, stride, padding), owned=True)
+            wt = wm.swapaxes(-1, -2)
+            gcols = wt * gm if out_ch == groups else np.matmul(wt, gm)
+            x._accumulate(_col2im(gcols.reshape(b, c, kh, kw, oh, ow), h, w, stride, padding),
+                          owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 
@@ -208,7 +239,7 @@ class ConvTranspose2d(Module):
         cols = np.matmul(wt, xm)                                 # [B,out*k*k,H*W]
         record_macs(cols.size * c)
         oh, ow = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
-        y = np.ascontiguousarray(_col2im(cols.reshape(b, out_ch, k, k, h, w), oh, ow, s, p))
+        y = _col2im(cols.reshape(b, out_ch, k, k, h, w), oh, ow, s, p)
         if bias is not None:
             y += bias.data.reshape(1, out_ch, 1, 1)
 

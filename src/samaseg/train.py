@@ -26,6 +26,11 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("epochs", "iters_per_epoch", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class EpochLog:
@@ -37,9 +42,7 @@ class EpochLog:
 
 def train(model: SamaUNet, dataset: list[SegmentationSample], cfg: TrainConfig,
           out_dir=None) -> list[EpochLog]:
-    for name in ("epochs", "iters_per_epoch", "batch_size"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    cfg.__post_init__()     # a config edited after construction is checked again
     if not dataset:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)

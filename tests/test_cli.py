@@ -140,6 +140,18 @@ class TestErrorHandling:
                      str(tmp_path / "ckpt"), "--out", str(tmp_path / "m.csv"), *flags]) == 1
         assert "tau must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--epochs", "0"], "epochs"),
+        (["--set", "train.iters_per_epoch=0"], "iters_per_epoch"),
+        (["--set", "train.batch_size=-1"], "batch_size"),
+    ])
+    def test_out_of_range_train_setting_is_rejected_before_data_is_read(self, tmp_path, capsys,
+                                                                       flags, field):
+        # the data directory does not exist, so only a config check can fail first
+        assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
+                     *TINY, *flags]) == 1
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+
     def test_missing_data_dir_returns_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"), *TINY])

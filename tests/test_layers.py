@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
+from samaseg import layers
 from samaseg.gradsuite import _weighted_sum
 from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
                             Module, _cell_matrix, _col2im, _im2col, adaptive_avg_pool2d,
@@ -174,6 +175,85 @@ class TestConv2d:
         np.testing.assert_array_equal(conv2d(Tensor(x), w, None).data, x)
 
 
+def closure_arrays(fn):
+    """Every array a closure holds, also through the functions it holds."""
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            yield v
+        elif getattr(v, "__closure__", None):
+            yield from closure_arrays(v)
+
+
+class TestConvTape:
+    @pytest.mark.parametrize("out_ch,k,stride,padding,groups", [
+        (6, 3, 1, 1, 1), (4, 3, 1, 1, 4), (6, 3, 2, 1, 1), (6, 1, 1, 0, 1),
+    ], ids=["dense", "depthwise", "stride2", "pointwise"])
+    def test_node_keeps_no_columns(self, rng, out_ch, k, stride, padding, groups):
+        # the node keeps x, W and b; its im2col columns (k^2 copies of x,
+        # or one for a 1x1 window) were kept until the backward before
+        conv = Conv2d(4, out_ch, k, rng, stride=stride, padding=padding,
+                      groups=groups, dtype=np.float64)
+        x = randt(rng, (2, 4, 8, 8))
+        y = conv(x)
+        cols = x.shape[0] * x.shape[1] * k * k * y.shape[2] * y.shape[3]
+        assert [a.shape for a in closure_arrays(y._backward) if a.size >= cols] == []
+
+    @pytest.mark.parametrize("train_weight", [True, False])
+    def test_backward_rebuilds_columns_only_for_the_weight_gradient(self, rng, monkeypatch,
+                                                                   train_weight):
+        conv = Conv2d(4, 6, 3, rng, padding=1, dtype=np.float64)
+        conv.weight.requires_grad = train_weight
+        x = randt(rng, (2, 4, 5, 6))
+        sources = []
+        im2col = layers._im2col
+        monkeypatch.setattr(layers, "_im2col", lambda a, *geo: sources.append(a) or im2col(a, *geo))
+        y = conv(x)
+        _weighted_sum(y, np.random.default_rng(7)).backward()
+        assert len(sources) == 1 + train_weight
+        assert all(a is x.data for a in sources)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,out_ch,groups", [
+        (4, 6, 1), (4, 6, 2), (4, 4, 4), (4, 8, 4), (4, 2, 2),
+    ], ids=["dense", "grouped", "depthwise", "depthwise-x2", "one-out-per-group"])
+    def test_input_gradient_is_the_matmul_form_bit_for_bit(self, rng, cin, out_ch, groups,
+                                                           dtype):
+        # with one output channel per group W^T @ g has an inner dimension
+        # of 1 and is formed as a broadcast product; it must give the bits
+        # of the batched matmul, which groups = C with out = 2C still takes
+        conv = Conv2d(cin, out_ch, 3, rng, padding=1, groups=groups, dtype=dtype)
+        x = Tensor(rng.uniform(-1, 1, size=(2, cin, 5, 6)).astype(dtype), requires_grad=True)
+        y = conv(x)
+        g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
+        y.backward(g)
+        wm = conv.weight.data.reshape(groups, out_ch // groups, -1)
+        gm = g.reshape(2, groups, out_ch // groups, -1)
+        gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(2, cin, 3, 3, 5, 6)
+        np.testing.assert_array_equal(x.grad, _col2im(gcols, 5, 6, 1, 1))
+
+
+def padded_scatter_fold(cols, h, w, s, p):
+    """col2im the long way: every tap added into a zero-padded buffer,
+    padding included, then cropped."""
+    b, c, kh, kw, oh, ow = cols.shape
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s] += cols[:, :, ky, kx]
+    return xp[:, :, p:p + h, p:p + w]
+
+
+FOLD_EDGES = pytest.mark.parametrize("extent,k,stride,padding", [
+    ((1, 1), 3, 1, 1),      # every tap but the centre reads only padding
+    ((1, 4), 3, 1, 1),      # empty taps along one axis only
+    ((2, 3), 3, 1, 2),      # padding wider than a tap's reach into the map
+    ((5, 6), 3, 2, 1),      # stride 2
+    ((7, 5), 3, 2, 0),      # stride 2 leaves the last row and column unread
+    ((6, 6), 2, 2, 0),      # k = s = 2, p = 0: the taps tile the map
+], ids=["1x1-empty-taps", "1x4", "wide-padding", "stride2", "stride2-unread", "k2s2"])
+
+
 class TestUnfoldFold:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -189,6 +269,28 @@ class TestUnfoldFold:
         back = _col2im(c, 5, 6, stride, padding)
         assert back.shape == x.shape
         np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
+
+    @FOLD_EDGES
+    def test_fold_matches_padded_scatter_bit_for_bit(self, rng, extent, k, stride, padding):
+        x = rng.uniform(-1, 1, size=(2, 3, *extent))
+        c = rng.uniform(-1, 1, size=_im2col(x, k, k, stride, padding).shape)
+        back = _col2im(c, *extent, stride, padding)
+        assert back.flags.c_contiguous
+        np.testing.assert_array_equal(back, padded_scatter_fold(c, *extent, stride, padding))
+
+    @FOLD_EDGES
+    def test_fold_is_adjoint_of_unfold_at_edge_extents(self, rng, extent, k, stride, padding):
+        x = rng.uniform(-1, 1, size=(2, 3, *extent))
+        cols = _im2col(x, k, k, stride, padding)
+        c = rng.uniform(-1, 1, size=cols.shape)
+        back = _col2im(c, *extent, stride, padding)
+        np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
+
+    def test_pointwise_window_copies_nothing(self, rng):
+        x = rng.uniform(-1, 1, size=(2, 3, 4, 5))
+        cols = _im2col(x, 1, 1, 1, 0)
+        assert cols.shape == (2, 3, 1, 1, 4, 5) and np.shares_memory(cols, x)
+        assert np.shares_memory(_col2im(cols, 4, 5, 1, 0), x)
 
 
 # extents chosen so the conv geometry round-trips exactly

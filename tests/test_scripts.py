@@ -1,7 +1,10 @@
 """Smoke runs of the example scripts as subprocesses: each exits 0 on a
 small input. The ablation grid is the one caller that drives every
-AblationFlags variant through a full training step."""
+AblationFlags variant through a full training step. The benchmark entry
+writer is checked on canned run output, without running the benchmark."""
 
+import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -29,3 +32,30 @@ def test_overfit_script_runs_one_epoch(tmp_path):
     proc = run_script("run_overfit.py", "--out", str(tmp_path), "--epochs", "1", "--count", "2")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "checkpoint").exists() or any((tmp_path / "run").iterdir())
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_run(rev, peak, correct=True):
+    env = {"git_rev": rev, "nproc": 2}
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+              "metrics": {"peak_rss_mib": {"value": peak, "unit": "MiB"}}}
+    return f"workload infer_128\nenv {json.dumps(env)}\n  report line\n{json.dumps(result)}\n"
+
+
+def test_bench_entry_summarises_runs_per_tree():
+    bench = load_script("bench_entry.py")
+    runs = [bench.parse_run(fake_run("abc", peak)) for peak in (170.0, 172.0, 171.0, 180.0, 171.5)]
+    trace = bench.parse_run(fake_run("abc", 47.0, correct=False))
+    entry = bench.make_entry("cmd", [6, 7, 8, 9, 10], 30.0, runs, trace)
+    peak = entry["end_to_end"]["peak_rss_mib"]
+    assert (entry["rev"], entry["env"]["nproc"], entry["seeds"]) == ("abc", 2, [6, 7, 8, 9, 10])
+    assert (peak["median"], peak["iqr"], peak["unit"]) == (171.5, 1.0, "MiB")
+    assert peak["runs"] == [170.0, 172.0, 171.0, 180.0, 171.5]
+    assert entry["trace"]["metrics"] == {"peak_rss_mib": 47.0}
+    assert (entry["correct"], entry["attempted"], entry["failed"]) == (False, 60, 1)
