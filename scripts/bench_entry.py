@@ -8,7 +8,8 @@ pairs:
         --tree ../parent --tree .
 
 For each seed every --tree runs `perfbench/run.py --trace 0` in turn, from
-its own checkout, so the trees alternate on the host. Then each tree makes
+its own checkout, so the trees alternate on the host; every other seed
+runs them in reverse order, so no tree always goes first. Then each tree makes
 one `--trace 1` run on the first seed. One entry per tree is appended to
 BENCH_<workload>.json in --out-dir, in --tree order; the README describes
 the format.
@@ -82,8 +83,8 @@ def main() -> int:
     args = ap.parse_args()
 
     runs = {tree: [] for tree in args.tree}
-    for seed in args.seeds:
-        for tree in args.tree:
+    for i, seed in enumerate(args.seeds):
+        for tree in args.tree if i % 2 == 0 else args.tree[::-1]:
             runs[tree].append(run(tree, args.workload, seed, args.seconds, 0))
     path = args.out_dir / f"BENCH_{args.workload}.json"
     entries = json.loads(path.read_text()) if path.exists() else []
