@@ -1,6 +1,13 @@
 """Deterministic synthetic segmentation data: soft-rendered random
 ellipses and rectangles per class on a noisy background, with exact
 integer class masks. Images and masks are written as STN1 pairs.
+
+The soft rendering is a σ = 1 Gaussian blur of the class intensities in
+numpy (`_gaussian_blur`). It does the float64 arithmetic of
+`scipy.ndimage.gaussian_filter(x, 1.0)` in the same order (radius
+int(4σ + 0.5), normalized weights, half-sample-symmetric edges, axis 0
+then axis 1, symmetric taps summed from the outermost in), so it gives the
+same bits without importing scipy.
 """
 
 from __future__ import annotations
@@ -9,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .io import read_stn1, write_stn1
 
@@ -25,6 +31,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.num_classes < 2:
             raise ValueError("need at least one foreground class")
         if self.shapes_min < 1 or self.shapes_max < self.shapes_min:
@@ -36,6 +46,26 @@ class SegmentationSample:
     image: np.ndarray   # [C,H,W] float32
     mask: np.ndarray    # [H,W] int
     sample_id: str = ""
+
+
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a float64 [H,W] array with half-sample-
+    symmetric edges, bit-equal to `scipy.ndimage.gaussian_filter(x, sigma)`."""
+    r = int(4.0 * sigma + 0.5)
+    taps = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    w = (w / w.sum())[r:]                   # w[j] weighs the taps at ±j
+    for _ in range(2):                      # axis 0, then axis 1 of the transpose
+        n = len(x)
+        i = np.arange(-r, n + r) % (2 * n)  # edge rows mirrored, as often as needed
+        p = x[np.where(i < n, i, 2 * n - 1 - i)]
+        out = w[0] * p[r:r + n]
+        tap = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(p[r - j:r - j + n], p[r + j:r + j + n], out=tap)
+            out += np.multiply(tap, w[j], out=tap)
+        x = out.T
+    return np.ascontiguousarray(x)
 
 
 def _draw_shape(mask: np.ndarray, rng: np.random.Generator, class_id: int):
@@ -68,7 +98,7 @@ def make_sample(spec: SyntheticSpec, rng: np.random.Generator, sample_id: str) -
 
     levels = np.linspace(0.2, 0.9, spec.num_classes)
     intensity = levels[mask]
-    soft = ndimage.gaussian_filter(intensity, sigma=1.0)
+    soft = _gaussian_blur(intensity, 1.0)
     noise = rng.normal(0.0, spec.noise_sigma, size=(h, w))
     image = (soft + noise).astype(np.float32)[None]
     return SegmentationSample(image=image, mask=mask.astype(np.int64), sample_id=sample_id)

@@ -140,6 +140,24 @@ class TestErrorHandling:
                      str(tmp_path / "ckpt"), "--out", str(tmp_path / "m.csv"), *flags]) == 1
         assert "tau must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--set", "eval.tau=nan"]])
+    def test_nan_tau_is_rejected_before_data_is_read(self, tmp_path, capsys, flags):
+        # NaN fails every comparison, so only a check written as `not tau >= 0` catches it
+        assert main(["eval", "--data", str(tmp_path / "nope"), "--checkpoint",
+                     str(tmp_path / "ckpt"), "--out", str(tmp_path / "m.csv"), *flags]) == 1
+        assert "tau must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--count", "0"], "count"), (["--noise", "-0.1"], "noise_sigma"),
+        (["--noise", "nan"], "noise_sigma"), (["--noise", "inf"], "noise_sigma"),
+    ])
+    def test_bad_synth_data_setting_is_rejected_before_writing(self, tmp_path, capsys,
+                                                               flags, field):
+        out = tmp_path / "data"
+        assert main(["synth-data", "--out", str(out), "--size", "16", *flags]) == 1
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,field", [
         (["--epochs", "0"], "epochs"),
         (["--set", "train.iters_per_epoch=0"], "iters_per_epoch"),

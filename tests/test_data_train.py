@@ -9,7 +9,7 @@ from test_optim import PerTensorAdamW
 
 import samaseg.train
 from samaseg.config import desk_default
-from samaseg.data import SyntheticSpec, generate_dataset, load_dataset, make_sample
+from samaseg.data import SyntheticSpec, _gaussian_blur, generate_dataset, load_dataset, make_sample
 from samaseg.model import ModelConfig, SamaUNet
 from samaseg.optim import RUN, AdamW
 from samaseg.train import TrainConfig, train, write_log_csv
@@ -69,6 +69,17 @@ class TestSyntheticData:
             SyntheticSpec(num_classes=1)
         with pytest.raises(ValueError):
             SyntheticSpec(shapes_min=2, shapes_max=1)
+
+    def test_blur_is_bit_equal_to_scipy_gaussian_filter(self):
+        # scipy is the oracle only: the package itself does not import it
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(0)
+        for n in range(1, 141):
+            levels = np.linspace(0.2, 0.9, 2 + n % 3)
+            for shape in ((n, n), (n, 141 - n)):
+                x = levels[rng.integers(0, len(levels), shape)]
+                assert np.array_equal(_gaussian_blur(x, 1.0),
+                                      ndimage.gaussian_filter(x, sigma=1.0)), shape
 
 
 class TestTrainLoop:

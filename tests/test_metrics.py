@@ -1,11 +1,14 @@
 """Segmentation metrics: hand-worked cases, exhaustive boundary
 enumeration, and an all-pairs brute-force surface-distance oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from samaseg.data import SyntheticSpec, make_sample
 from samaseg.metrics import NsdConfig, boundary, dsc, evaluate_pair, mean_foreground_dsc, nsd
 
 
@@ -136,20 +139,39 @@ class TestNsdHandCases:
         assert nsd(a, b, 1, NsdConfig(tau=1.5)) == nsd(b, a, 1, NsdConfig(tau=1.5))
 
     def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            NsdConfig(tau=-1.0)
+        for tau in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tau must be >= 0"):
+                NsdConfig(tau=tau)
+
+
+def _mask_pair(case):
+    """(gt, pred, num_classes) for one TestNsdBruteForce case: a seed for
+    blocky random masks, "random37x23", or "sample<size>"."""
+    if case == "random37x23":       # non-square: rows and columns play different parts
+        r = np.random.default_rng(5)
+        return r.integers(0, 2, (37, 23)), r.integers(0, 2, (37, 23)), 2
+    if isinstance(case, str):       # a 3-class sample against a shifted copy of itself
+        r = np.random.default_rng(0)    # with 2% of its pixels relabelled
+        gt = make_sample(SyntheticSpec(image_size=int(case[6:]), num_classes=3), r, "gt").mask
+        pred = np.roll(gt, (1, -2), axis=(0, 1))
+        flip = r.random(gt.shape) < 0.02
+        pred[flip] = r.integers(0, 3, int(flip.sum()))
+        return gt, pred, 3
+    r = np.random.default_rng(case)
+    # blocky random masks give nontrivial boundaries
+    gt = (r.random((8, 8)) < 0.4).repeat(3, 0).repeat(3, 1)[:20, :20].astype(int)
+    pred = (r.random((8, 8)) < 0.4).repeat(3, 0).repeat(3, 1)[:20, :20].astype(int)
+    return gt, pred, 2
 
 
 class TestNsdBruteForce:
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    @pytest.mark.parametrize("tau", [0.0, 1.0, 2.5])
-    def test_equals_all_pairs_oracle_exactly(self, seed, tau):
-        r = np.random.default_rng(seed)
-        # blocky random masks give nontrivial boundaries
-        gt = (r.random((8, 8)) < 0.4).repeat(3, 0).repeat(3, 1)[:20, :20].astype(int)
-        pred = (r.random((8, 8)) < 0.4).repeat(3, 0).repeat(3, 1)[:20, :20].astype(int)
-        value, _ = nsd(gt, pred, 1, NsdConfig(tau=tau))
-        assert value == brute_force_nsd(gt, pred, 1, tau)
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, "random37x23", "sample64", "sample128"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, math.sqrt(2.0), 2.5, 1e3, math.inf])
+    def test_equals_all_pairs_oracle_exactly(self, case, tau):
+        gt, pred, num_classes = _mask_pair(case)
+        for c in range(1, num_classes):
+            value, _ = nsd(gt, pred, c, NsdConfig(tau=tau))
+            assert value == brute_force_nsd(gt, pred, c, tau)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

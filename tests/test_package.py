@@ -1,7 +1,12 @@
-"""The package's public surface: every exported name resolves, and every
-CLI subcommand prints its help. No other test imports the package's
-`__all__` or asks a subcommand for --help, so a stale export or a broken
-argument declaration would otherwise pass the suite."""
+"""The package's public surface: every exported name resolves, every
+CLI subcommand prints its help, and the CLI imports no scipy. No other test
+imports the package's `__all__` or asks a subcommand for --help, so a stale
+export or a broken argument declaration would otherwise pass the suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +31,12 @@ def test_help_exits_zero(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: samaseg {command}" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    env = dict(os.environ, PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", "import sys, samaseg.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         env=env, check=True, stdout=subprocess.PIPE, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
