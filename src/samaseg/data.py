@@ -31,6 +31,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.image_size < 2:
+            raise ValueError("image_size must be at least 2")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not 0 <= self.noise_sigma < float("inf"):

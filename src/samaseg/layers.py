@@ -13,16 +13,24 @@ of channels and positions) share one normalisation op, whose backward keeps
 only the normalised input and 1/sigma; softmax's keeps only its output.
 
 Every convolution (dense, grouped, depthwise) is one op, W @ im2col(x) + b
-with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns and one batched matmul,
-and so is every transpose convolution, col2im(W^T @ x) + b, which never
-multiplies inserted zeros. col2im is the exact adjoint of im2col, so each
-op's backward runs the other; the local attention core reads its
-neighbourhoods through them too. A convolution's tape node keeps x, W and
-b but not its columns, k^2 copies of x: the backward rebuilds the same
-columns from x for W's gradient, so a forward that is never differentiated
-builds them once. A 1x1 stride-1 window's columns are x itself, with no
-copy. Adaptive pooling is one op, rows @ x @ cols^T with averaging
-matrices built once per shape.
+with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns, and so is every
+transpose convolution, col2im(W^T @ x) + b, which never multiplies inserted
+zeros. col2im is the exact adjoint of im2col, so each op's backward runs
+the other; the local attention core reads its neighbourhoods through them
+too. A convolution runs over blocks of whole output rows whose columns hold
+at most `COL_BUDGET` elements, 1 MiB in float32 or half of a 2 MiB L2; one
+whose columns fit is one block of the same loop. Its input gradient runs
+over blocks of input rows: each forms W^T @ g for the output rows whose
+windows meet it, a halo of rows past the block included, and adds each
+tap's rectangle in tap order, so every pixel sums the same products in the
+same order as one col2im of the whole map. Blocks are wide and aligned so
+that BLAS gives every pixel the bits of the unblocked matmul. A
+convolution's tape node keeps x, W and b but not its columns, k^2 copies of
+x: W's gradient rebuilds the full columns from x, since splitting its sum
+over pixels would change its float order, so a forward that is never
+differentiated builds them once. A 1x1 stride-1 window's columns are x
+itself, with no copy. Adaptive pooling is one op, rows @ x @ cols^T with
+averaging matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
 norm scales to 1 and shifts to 0. Convolutions use the cross-correlation
@@ -104,30 +112,74 @@ class Linear(Module):
         return Tensor._op(y.reshape(x.shape[0], self.out_features, *x.shape[2:]), parents, bwd)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    """[B,C,H,W] -> [B,C,kh,kw,OH,OW] zero-padded windows, one strided copy
-    per tap, so every copy moves whole output rows. A 1x1 stride-1 window
-    with no padding is `x` itself, reshaped with no copy."""
+COL_BUDGET = 2 ** 18
+"""Most im2col column elements one conv block holds: 1 MiB in float32,
+half of a 2 MiB L2."""
+
+# BLAS computes a trailing part-group of columns, and small matrix products,
+# with other kernels whose sums can round differently, and which kernel a
+# trailing part-group gets depends on the width of the whole product; its
+# matrix-vector kernels also round by the alignment of each row. So a conv
+# is split only when its rows span a multiple of _COL_ALIGN pixels, into
+# blocks whose matrix products do at least _MIN_BLOCK_MACS MACs: then every
+# pixel gets the bits of the unblocked matmul. A conv with one output
+# channel per group, a matrix-vector product, is one block.
+_COL_ALIGN = 16
+_MIN_BLOCK_MACS = 2 ** 20
+
+
+def _span(k: int, s: int, p: int, lo: int, hi: int, olo: int, ohi: int) -> tuple[int, int]:
+    """Output positions [start, stop) within [olo, ohi) whose tap k reads
+    inside the input span [lo, hi), i.e. lo <= o*s + k - p < hi."""
+    return max(olo, -((k - p - lo) // s)), min(ohi, (hi - 1 + p - k) // s + 1)
+
+
+def _pointwise(kh: int, kw: int, s: int, p: int) -> bool:
+    """A 1x1 stride-1 window with no padding: its columns are the input."""
+    return kh == kw == s == 1 and not p
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
+    """[B,C,H,W] -> [B,C,kh,kw,R,OW] zero-padded windows of output rows
+    [r0, r1) (all OH by default): the input rows they read are padded once,
+    then each tap is one strided copy of whole output rows. A 1x1 stride-1
+    window with no padding is `x` itself, reshaped with no copy."""
     b, c, h, w = x.shape
-    if kh == kw == s == 1 and not p:
-        return np.ascontiguousarray(x).reshape(b, c, 1, 1, h, w)
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
-    xp = x
+    r0, r1 = rows or (0, (h + 2 * p - kh) // s + 1)
+    if _pointwise(kh, kw, s, p):
+        return np.ascontiguousarray(x[:, :, r0:r1]).reshape(b, c, 1, 1, r1 - r0, w)
+    top, n = r0 * s - p, (r1 - r0 - 1) * s + kh        # the input rows read, padding counted
     if p:
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p:p + h, p:p + w] = x
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+        xp = np.zeros((b, c, n, w + 2 * p), dtype=x.dtype)
+        lo, hi = max(top, 0), min(top + n, h)
+        xp[:, :, lo - top:hi - top, p:p + w] = x[:, :, lo:hi]
+    else:
+        xp = x[:, :, top:top + n]
+    ow = (w + 2 * p - kw) // s + 1
+    cols = np.empty((b, c, kh, kw, r1 - r0, ow), dtype=x.dtype)
     for ky in range(kh):
         for kx in range(kw):
-            cols[:, :, ky, kx] = xp[:, :, ky:ky + (oh - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s]
+            cols[:, :, ky, kx] = xp[:, :, ky:ky + (r1 - r0 - 1) * s + 1:s, kx:kx + (ow - 1) * s + 1:s]
     return cols
 
 
-def _tap_range(k: int, s: int, p: int, n: int, on: int) -> tuple[int, int]:
-    """Output positions [lo, hi) whose tap k reads inside an input extent n,
-    i.e. 0 <= o*s + k - p < n."""
-    return max(0, -((k - p) // s)), min(on, (n - 1 + p - k) // s + 1)
+def _fold(x: np.ndarray, cols: np.ndarray, s: int, p: int, rows: tuple[int, int],
+          out_rows: tuple[int, int]):
+    """Add cols [B,C,kh,kw,o1-o0,OW], holding output rows [o0, o1), into x
+    [B,C,i1-i0,W], holding input rows [i0, i1): each tap adds the
+    rectangle of its windows that reads inside x, in tap order, so a tap
+    that reads only padding adds nothing."""
+    (i0, i1), (o0, o1) = rows, out_rows
+    kh, kw, ow = cols.shape[2], cols.shape[3], cols.shape[5]
+    for ky in range(kh):
+        y0, y1 = _span(ky, s, p, i0, i1, o0, o1)
+        for kx in range(kw):
+            x0, x1 = _span(kx, s, p, 0, x.shape[-1], 0, ow)
+            if y0 < y1 and x0 < x1:
+                tap = cols[:, :, ky, kx, y0 - o0:y1 - o0, x0:x1]
+                x[:, :, y0 * s + ky - p - i0:(y1 - 1) * s + ky - p + 1 - i0:s,
+                  x0 * s + kx - p:(x1 - 1) * s + kx - p + 1:s] += tap
 
 
 def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
@@ -137,28 +189,52 @@ def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
     padding adds nothing. A 1x1 stride-1 window with no padding is `cols`
     reshaped."""
     b, c, kh, kw, oh, ow = cols.shape
-    if kh == kw == s == 1 and not p:
+    if _pointwise(kh, kw, s, p):
         return cols.reshape(b, c, h, w)
     x = np.zeros((b, c, h, w), dtype=cols.dtype)
-    for ky in range(kh):
-        y0, y1 = _tap_range(ky, s, p, h, oh)
-        for kx in range(kw):
-            x0, x1 = _tap_range(kx, s, p, w, ow)
-            if y0 < y1 and x0 < x1:
-                x[:, :, y0 * s + ky - p:(y1 - 1) * s + ky - p + 1:s,
-                  x0 * s + kx - p:(x1 - 1) * s + kx - p + 1:s] += cols[:, :, ky, kx, y0:y1, x0:x1]
+    _fold(x, cols, s, p, (0, h), (0, oh))
     return x
+
+
+def _row_blocks(oh: int, ow: int, k: int, s: int, row_cols: int,
+                row_macs: int) -> tuple[list[int], int]:
+    """Bounds 0 = r_0 < ... < r_n = oh of a conv's output-row blocks, and
+    their halo: the rows after a block that its input-gradient block also
+    reads. Each output row takes `row_cols` column elements (0 for a window
+    that copies nothing) and `row_macs` MACs of each matrix product (0 for
+    a matrix-vector product). Columns that fit `COL_BUDGET`, matrix-vector
+    convs and rows of other than a multiple of `_COL_ALIGN` pixels are one
+    block. Otherwise the blocks are as even as can be, and each fits the
+    budget with its halo unless a block that small would do under
+    `_MIN_BLOCK_MACS` MACs, or one row alone does not fit."""
+    halo = (k - 2) // s + 1
+    if oh * row_cols <= COL_BUDGET or not row_macs or ow % _COL_ALIGN:
+        return [0, oh], halo
+    most = max(1, COL_BUDGET // row_cols - halo)
+    n = max(1, min(-(-oh // most), oh // -(-_MIN_BLOCK_MACS // row_macs)))
+    return [j * oh // n for j in range(n)] + [oh], halo
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
-    one op, W @ im2col(x) + b. The forward drops its columns after the one
-    matmul: the node keeps only x, W and b, not the k^2-fold columns. The
-    backward gives b as g summed, x as col2im(W^T @ g) (a broadcast product
-    when each group has one output channel, where the matmul's inner
-    dimension is 1), and W as g @ cols^T summed over the batch, rebuilding
-    the same columns from x only when W needs its gradient."""
+    one op, W @ im2col(x) + b, run over blocks of whole output rows whose
+    columns hold at most `COL_BUDGET` elements, so each block stays in
+    cache; a conv that fits the budget is one block. Each block builds its
+    columns and runs one matmul into its rows of y, and none is kept: the
+    node keeps only x, W and b, not the k^2-fold columns. A 1x1 stride-1
+    window's columns are x itself, and a conv with one output channel per
+    group is a matrix-vector product (see `_COL_ALIGN`): each is one block.
+
+    The backward gives b as g summed, and x as col2im(W^T @ g) (a broadcast
+    product when each group has one output channel, where the matmul's
+    inner dimension is 1) over blocks of input rows: each block forms W^T @ g
+    for the output rows whose windows meet it, halo included, within the
+    same budget, and adds each tap's rectangle in tap order, so every pixel
+    sums the same products in the same order as one unblocked col2im. W's
+    gradient is g @ cols^T summed over the batch, from the full columns
+    rebuilt from x, only when W needs it: splitting that sum over pixel
+    blocks would change its float order."""
     b, c, h, w = x.shape
     out_ch, cg, kh, kw = weight.shape
     if c % groups or out_ch % groups or cg != c // groups:
@@ -168,12 +244,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
+    geo = (kh, kw, stride, padding)
+    bounds, halo = _row_blocks(oh, ow, kh, stride, 0 if _pointwise(*geo) else b * c * kh * kw * ow,
+                               0 if out_ch == groups else out_ch // groups * cg * kh * kw * ow)
 
-    def columns():
-        return _im2col(x.data, kh, kw, stride, padding).reshape(b, groups, -1, oh * ow)
+    def columns(rows=None):
+        cols = _im2col(x.data, *geo, rows)
+        return cols.reshape(b, groups, -1, cols.shape[-2] * ow)
 
     wm = weight.data.reshape(groups, out_ch // groups, cg * kh * kw)
-    y = np.matmul(wm, columns()).reshape(b, out_ch, oh, ow)
+    y = np.empty((b, groups, out_ch // groups, oh * ow), dtype=np.result_type(x.data, wm))
+    for r0, r1 in zip(bounds, bounds[1:]):
+        np.matmul(wm, columns((r0, r1)), out=y[..., r0 * ow:r1 * ow])
+    y = y.reshape(b, out_ch, oh, ow)
     record_macs(y.size * wm.shape[-1])
     if bias is not None:
         y += bias.data.reshape(1, out_ch, 1, 1)
@@ -186,10 +269,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
+            # the input block of output block [r0, r1) starts at the row
+            # that r0's last tap reads, which no earlier output row reaches,
+            # and ends where the next one starts, so output rows
+            # [r0, r1 + halo) hold every product its pixels sum
             wt = wm.swapaxes(-1, -2)
-            gcols = wt * gm if out_ch == groups else np.matmul(wt, gm)
-            x._accumulate(_col2im(gcols.reshape(b, c, kh, kw, oh, ow), h, w, stride, padding),
-                          owned=True)
+            edges = [0] + [min(h, max(0, r * stride - padding + kh - 1)) for r in bounds[1:-1]] + [h]
+            gx = np.zeros((b, c, h, w), dtype=g.dtype)
+            for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
+                o1 = min(oh, o1 + halo)
+                gb = gm[..., o0 * ow:o1 * ow]
+                gcols = wt * gb if out_ch == groups else np.matmul(wt, gb)
+                _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), stride, padding,
+                      (i0, i1), (o0, o1))
+            x._accumulate(gx, owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 

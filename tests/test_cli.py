@@ -150,6 +150,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("flags,field", [
         (["--count", "0"], "count"), (["--noise", "-0.1"], "noise_sigma"),
         (["--noise", "nan"], "noise_sigma"), (["--noise", "inf"], "noise_sigma"),
+        (["--size", "0"], "image_size"), (["--size", "1"], "image_size"),
     ])
     def test_bad_synth_data_setting_is_rejected_before_writing(self, tmp_path, capsys,
                                                                flags, field):

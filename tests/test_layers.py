@@ -3,11 +3,18 @@ adjointness identities, explicit normalization statistics, and the fused
 Linear, norm and softmax ops against the composite autodiff chains they
 replaced."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import samaseg
 from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold
 from samaseg import layers
 from samaseg.attention import MASK_BIAS
@@ -231,6 +238,89 @@ class TestConvTape:
         gm = g.reshape(2, groups, out_ch // groups, -1)
         gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(2, cin, 3, 3, 5, 6)
         np.testing.assert_array_equal(x.grad, _col2im(gcols, 5, 6, 1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,out_ch,k,stride,padding,groups,blocks", [
+        ((2, 16, 128, 128), 32, 3, 2, 1, 1, 5),
+        ((1, 8, 130, 77), 8, 5, 1, 2, 1, 1),
+        ((1, 64, 128, 96), 64, 3, 1, 1, 64, 1),
+        ((1, 8, 256, 256), 16, 3, 1, 1, 1, 22),
+        ((2, 16, 64, 64), 16, 3, 1, 1, 1, 6),
+        ((2, 16, 64, 64), 16, 3, 1, 1, 2, 2),
+        ((1, 64, 5, 160), 16, 3, 1, 1, 1, 5),
+    ], ids=["stride2", "5x5-130x77", "depthwise-128x96", "256px", "2x16x64x64", "grouped",
+            "one-row-blocks"])
+    def test_row_blocks_give_the_unblocked_matmul_bit_for_bit(self, rng, monkeypatch, shape,
+                                                             out_ch, k, stride, padding, groups,
+                                                             blocks, dtype):
+        # y, x's gradient and W's gradient against one im2col matmul over the
+        # whole map, its input gradient folded the long way into a padded
+        # buffer. Rows of 77 pixels, not a multiple of 16, and a
+        # matrix-vector conv (depthwise) stay one block; in the last case one
+        # row's columns nearly fill the budget, so every block, the last
+        # included, holds one output row
+        b, c, h, w = shape
+        x_np = rng.uniform(-1, 1, size=shape).astype(dtype)
+        w_np = rng.uniform(-1, 1, size=(out_ch, c // groups, k, k)).astype(dtype)
+        oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+        g = rng.uniform(-1, 1, size=(b, out_ch, oh, ow)).astype(dtype)
+
+        x, weight = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
+        calls = []
+        im2col = layers._im2col
+        monkeypatch.setattr(layers, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        y = conv2d(x, weight, None, stride, padding, groups)
+        assert len(calls) == blocks
+        monkeypatch.undo()
+        y.backward(g)
+
+        cols = unfold(Tensor(x_np), k, k, stride, padding, groups).data
+        wm = w_np.reshape(groups, out_ch // groups, -1)
+        gm = g.reshape(b, groups, out_ch // groups, -1)
+        gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(b, c, k, k, oh, ow)
+        for got, want in ((y.data, np.matmul(wm, cols).reshape(g.shape)),
+                          (x.grad, padded_scatter_fold(gcols, h, w, stride, padding)),
+                          (weight.grad, np.matmul(gm, cols.swapaxes(-1, -2)).sum(axis=0)
+                           .reshape(w_np.shape))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+SCALING_SCRIPT = """
+import json, time
+import numpy as np
+from samaseg.layers import conv2d
+from samaseg.tensor import Tensor
+rng = np.random.default_rng(0)
+w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32))
+inputs = {s: rng.uniform(-1, 1, size=(1, 16, s, s)).astype(np.float32) for s in (128, 256)}
+best = {s: float("inf") for s in inputs}
+for _ in range(5):
+    for s, x_np in inputs.items():
+        x = Tensor(x_np, requires_grad=True)
+        t0 = time.perf_counter()
+        conv2d(x, w, None, padding=1).sum().backward()
+        best[s] = min(best[s], time.perf_counter() - t0)
+print(json.dumps(best[256] / best[128]))
+"""
+
+
+class TestWallTimeLinearity:
+    def test_dense_conv_forward_and_input_gradient_grow_linearly_in_pixels(self):
+        # The desk default's full-resolution 16->16 3x3 conv, forward plus
+        # input gradient (W frozen: its gradient still reads whole columns):
+        # 4x the pixels must cost under 5x the time. Built from whole-map
+        # columns (9 MiB at 128 px, 38 MiB at 256 px, against 2 MiB of L2)
+        # the ratio read 5.7-7.4; in row blocks within the budget, 3.7-4.1.
+        # BLAS runs on one thread in a fresh interpreter, as in the scan's
+        # linearity test.
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", SCALING_SCRIPT], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True, timeout=300)
+        ratio = json.loads(out.stdout)
+        assert ratio < 5.0, ratio
 
 
 def padded_scatter_fold(cols, h, w, s, p):

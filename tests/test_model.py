@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import naive_softmax
+from samaseg.layers import conv2d
 from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights, predict,
                            seg_loss)
 from samaseg.sama import AblationFlags
-from samaseg.tensor import Tensor
+from samaseg.tensor import Tensor, no_grad
 
 
 def tiny_cfg(**kw):
@@ -376,3 +377,51 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert logits[0].requires_grad
         assert retained <= 55, f"{retained:.1f} MiB"
+
+
+def traced_peak_mib(fn) -> float:
+    """tracemalloc's peak, in MiB above what was allocated before, while
+    fn() runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvMemory:
+    # FinalExpand.conv2 of the desk default at 128 px: a 16->16 3x3 conv on a
+    # [1,16,128,128] map (1 MiB) whose im2col columns take 9 MiB. Built in
+    # row blocks of at most 1 MiB, forward and input gradient; with the
+    # whole columns at once the forward peaked at 10.0 MiB and the backward
+    # with a frozen W at 11.1 MiB
+    def conv_and_input(self):
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32))
+        x = Tensor(rng.uniform(-1, 1, size=(1, 16, 128, 128)).astype(np.float32),
+                   requires_grad=True)
+        return w, x
+
+    def test_forward_at_128px_peaks_at_most_5_mib(self):
+        w, x = self.conv_and_input()
+        with no_grad():
+            peak = traced_peak_mib(lambda: conv2d(x, w, None, padding=1))
+        assert peak <= 5, f"{peak:.1f} MiB"
+
+    def test_input_gradient_at_128px_peaks_at_most_5_mib(self):
+        w, x = self.conv_and_input()
+        y = conv2d(x, w, None, padding=1)
+        g = np.ones(y.shape, dtype=np.float32)
+        peak = traced_peak_mib(lambda: y.backward(g))
+        assert x.grad is not None and w.grad is None
+        assert peak <= 5, f"{peak:.1f} MiB"
+
+    def test_desk_predict_at_256px_peaks_at_most_32_mib(self):
+        # with each conv's whole columns at once this read 46.3 MiB
+        model = SamaUNet(ModelConfig(), np.random.default_rng(0))
+        img = np.random.default_rng(1).uniform(-1, 1, size=(1, 1, 256, 256)).astype(np.float32)
+        predict(model, img)      # fills the per-shape caches outside the measurement
+        peak = traced_peak_mib(lambda: predict(model, img))
+        assert peak <= 32, f"{peak:.1f} MiB"
