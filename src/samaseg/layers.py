@@ -268,21 +268,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             weight._accumulate(gw.reshape(weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-        if x.requires_grad:
-            # the input block of output block [r0, r1) starts at the row
-            # that r0's last tap reads, which no earlier output row reaches,
-            # and ends where the next one starts, so output rows
-            # [r0, r1 + halo) hold every product its pixels sum
-            wt = wm.swapaxes(-1, -2)
-            edges = [0] + [min(h, max(0, r * stride - padding + kh - 1)) for r in bounds[1:-1]] + [h]
-            gx = np.zeros((b, c, h, w), dtype=g.dtype)
-            for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
-                o1 = min(oh, o1 + halo)
-                gb = gm[..., o0 * ow:o1 * ow]
-                gcols = wt * gb if out_ch == groups else np.matmul(wt, gb)
-                _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), stride, padding,
-                      (i0, i1), (o0, o1))
-            x._accumulate(gx, owned=True)
+        if not x.requires_grad:
+            return
+        wt = wm.swapaxes(-1, -2)
+
+        def col_grad(gb):   # W^T @ g; a broadcast product for one output channel per group
+            return wt * gb if out_ch == groups else np.matmul(wt, gb)
+
+        if _pointwise(*geo):   # the columns are x itself, so W^T @ g is its gradient
+            x._accumulate(col_grad(gm).reshape(x.shape), owned=True)
+            return
+        # the input block of output block [r0, r1) starts at the row that
+        # r0's last tap reads, which no earlier output row reaches, and ends
+        # where the next one starts, so output rows [r0, r1 + halo) hold
+        # every product its pixels sum
+        edges = [0] + [min(h, max(0, r * stride - padding + kh - 1)) for r in bounds[1:-1]] + [h]
+        gx = np.zeros((b, c, h, w), dtype=g.dtype)
+        for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
+            o1 = min(oh, o1 + halo)
+            gcols = col_grad(gm[..., o0 * ow:o1 * ow])
+            _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), stride, padding,
+                  (i0, i1), (o0, o1))
+        x._accumulate(gx, owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 

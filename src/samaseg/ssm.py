@@ -13,16 +13,26 @@ freezes delta/B/C as learned input-independent parameters.
 Discretization, recurrence and readout are one autodiff op,
 `selective_scan(delta, x, A, B, C) -> y`, with delta and x [B,L,C], A [C,N],
 B and C [B,L,N], and y [B,L,C]. The op copies its small [B,L,.] inputs
-time-major to [L,B,.] and builds the zero-order-hold terms
-dA_t = exp(delta_t A) and dBu_t = (delta_t x_t) B_t straight into two
-[L, B*C*N] buffers, so step t of the recurrence h_t = dA_t h_{t-1} + dBu_t
-reads and writes contiguous rows; the dBu buffer becomes h in place. The
-readout y_t = h_t @ C_t is one batched matmul. The tape holds one node;
-of the [L,B,C,N] arrays it keeps only h and dA, next to its small inputs.
+time-major to [L,B,.] and runs over time blocks of T steps, each holding at
+most `SCAN_BUDGET` elements per [T, B*C*N] array so that it stays in L2.
+A block builds the zero-order-hold terms dA_t = exp(delta_t A) and dBu_t =
+(delta_t x_t) B_t straight into two [T, B*C*N] buffers, so step t of the
+recurrence h_t = dA_t h_{t-1} + dBu_t reads and writes contiguous rows;
+the dBu buffer becomes h in place, starting from h of the last step of
+the block before. The block's readout y_t = h_t @ C_t is one batched
+matmul into y. The tape holds one node, which keeps its small time-major
+inputs and h of each block's last step, one [B*C*N] row per block, but
+no [L,B,C,N] array; under `no_grad()` only the carried row and y outlive a
+block.
 
-Its backward runs the adjoint recurrence (Mamba, Gu & Dao 2023, section
-3.3) over the same rows in reverse, with gh_t the adjoint of h_t and gy_t
-that of y_t:
+Its backward walks the blocks in reverse. It rebuilds each block's dA and h
+from the h kept at the end of the block before, with the same float
+operations in the same order, so the states are those of the forward bit
+for bit; Mamba recomputes its states in the backward the same way (Gu &
+Dao 2023, section 3.3.2), the checkpoint-and-recompute trade of Chen et
+al. 2016. On a block it runs the adjoint recurrence (Mamba, section 3.3)
+over the rows in reverse, carrying gh and dA of the next block's first step
+across the block's end, with gh_t the adjoint of h_t and gy_t that of y_t:
 
     gh_t    = gy_t C_t + dA_{t+1} gh_{t+1}         (no second term at t = L-1)
     gz_t    = gh_t h_{t-1} dA_t                    (adjoint of delta_t A; 0 at t = 0)
@@ -32,7 +42,10 @@ that of y_t:
     g delta = gz A summed over n, plus x sum_n gh_t B_t
     g A     = sum over b, t of gz delta
 
-Both directions take L Python steps, and the op adds one node to the tape
+Each block writes its rows of gC, gB, g(delta x) and gz into full-length
+buffers; the sums over t for gA and g delta then run once over all of gz,
+so every gradient has the bits of an unblocked scan. The forward takes L
+Python steps and the backward 2L, and the op adds one node to the tape
 whatever L is.
 """
 
@@ -42,7 +55,7 @@ import numpy as np
 
 from .layers import Linear, Module
 from .profiler import record_macs
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, is_recording
 
 
 class SelectiveSsm(Module):
@@ -98,12 +111,38 @@ def _swap_bl(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.swapaxes(0, 1))
 
 
+SCAN_BUDGET = 2 ** 16
+"""Most elements of one time block of the scan, [T, B*C*N]: 256 KiB in
+float32, so a block's exp(delta A), h and adjoint stay in a 2 MiB L2."""
+
+
+def _scan_block(dt: np.ndarray, dtx: np.ndarray, bt: np.ndarray, a: np.ndarray, steps: int,
+                prev: np.ndarray | None, step: np.ndarray):
+    """exp(delta A) and h of one time block, as [steps, B*C*N] rows, plus h
+    as [steps*B, C, N]; dt, dtx and bt hold the block's [steps*B, .] rows
+    and prev is h of the step before it (None at t = 0). h is built in
+    place in the (delta x) B buffer, h_t = dA_t h_{t-1} + dBu_t, with `step`
+    as scratch, so the backward rebuilds a block bit for bit."""
+    d_a = np.einsum("ic,cn->icn", dt, a)
+    np.exp(d_a, out=d_a)
+    hs = np.einsum("ic,in->icn", dtx, bt)
+    da_rows, h_rows = d_a.reshape(steps, -1), hs.reshape(steps, -1)
+    if prev is not None:
+        np.add(h_rows[0], np.multiply(da_rows[0], prev, out=step), out=h_rows[0])
+    for h_prev, row, da in zip(h_rows, h_rows[1:], da_rows[1:]):
+        np.add(row, np.multiply(da, h_prev, out=step), out=row)
+    return da_rows, h_rows, hs
+
+
 def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
     """Fused zero-order-hold scan: h_t = exp(delta_t A) h_{t-1} + delta_t x_t B_t
     (zero state before t = 0), y_t = h_t @ C_t. delta and x [B,L,C], A [C,N],
     bm and cm [B,L,N] give y [B,L,C]; delta, bm and cm may also be plain
-    [C] or [N] vectors, one value for every batch entry and step. The
-    backward is the adjoint in the module docstring."""
+    [C] or [N] vectors, one value for every batch entry and step. It runs
+    over time blocks of at most `SCAN_BUDGET` state elements, carrying h
+    from each block into the next; the node keeps h of each block's last
+    step, and the backward, the adjoint in the module docstring, rebuilds
+    each block from the one before."""
     b, l, c = x.shape
     n = a.shape[1]
     record_macs(3 * b * l * c * n)
@@ -111,41 +150,67 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
     dt, xt, bt, ct = (_swap_bl(np.broadcast_to(v.data, (b, l, v.shape[-1]))).reshape(l * b, -1)
                       for v in (delta, x, bm, cm))
     dtx = dt * xt                                            # [LB,C]
-    d_a = np.exp(np.einsum("ic,cn->icn", dt, a.data))        # [LB,C,N]
-    hs = np.einsum("ic,in->icn", dtx, bt)                    # dBu, turned into h in place
-    da_rows, h_rows = d_a.reshape(l, -1), hs.reshape(l, -1)  # [L, B*C*N]
-    step = np.empty_like(h_rows[0])
-    for t in range(1, l):
-        row = h_rows[t]
-        np.add(row, np.multiply(da_rows[t], h_rows[t - 1], out=step), out=row)
-    y = (hs @ ct[:, :, None]).reshape(l, b, c)
+    dtype = np.result_type(dtx, bt, ct, a.data)
+    span = max(1, SCAN_BUDGET // (b * c * n))                # steps per block
+    blocks = [(s, min(s + span, l)) for s in range(0, l, span)]
+    keep = is_recording() and any(v.requires_grad for v in (delta, x, a, bm, cm))
+    step = np.empty(b * c * n, dtype=dtype)
+    y = np.empty((l * b, c, 1), dtype=dtype)
+    ends, h = [], None                                       # h at each block's last step
+    for s, e in blocks:
+        r = slice(s * b, e * b)
+        _, h_rows, hs = _scan_block(dt[r], dtx[r], bt[r], a.data, e - s, h, step)
+        np.matmul(hs, ct[r, :, None], out=y[r])
+        h = h_rows[-1].copy()
+        if keep:
+            ends.append(h)
 
     def give(t, rows):   # [L*B,.] rows -> t's gradient, summed down to t's shape
         t._accumulate(_unbroadcast(_swap_bl(rows.reshape(l, b, -1)), t.shape), owned=True)
 
     def bwd(g):
         gy = _swap_bl(g).reshape(l * b, c)
-        if cm.requires_grad:
-            give(cm, gy[:, None, :] @ hs)
-        gh = np.einsum("ic,in->icn", gy, ct)                 # gy_t C_t, then the adjoint
-        gh_rows = gh.reshape(l, -1)
-        for t in range(l - 2, -1, -1):
-            row = gh_rows[t]
-            np.add(row, np.multiply(da_rows[t + 1], gh_rows[t + 1], out=step), out=row)
-        gdtx = (gh @ bt[:, :, None]).reshape(l * b, c)
-        if bm.requires_grad:
-            give(bm, dtx[:, None, :] @ gh)
+        gdtx = np.empty((l * b, c, 1), dtype=dtype)
+        gc = np.empty((l * b, 1, n), dtype=dtype) if cm.requires_grad else None
+        gb = np.empty((l * b, 1, n), dtype=dtype) if bm.requires_grad else None
+        gz = np.empty((l, b * c * n), dtype=dtype) if delta.requires_grad or a.requires_grad else None
+        gh_next = da_next = None                             # gh and dA of the next block's first step
+        for k in range(len(blocks) - 1, -1, -1):
+            (s, e), prev = blocks[k], ends[k - 1] if k else None
+            r = slice(s * b, e * b)
+            da_rows, h_rows, hs = _scan_block(dt[r], dtx[r], bt[r], a.data, e - s, prev, step)
+            if gc is not None:
+                np.matmul(gy[r, None, :], hs, out=gc[r])
+            gh = np.einsum("ic,in->icn", gy[r], ct[r])      # gy_t C_t, then the adjoint
+            gh_rows = gh.reshape(e - s, -1)
+            if gh_next is not None:
+                np.add(gh_rows[-1], np.multiply(da_next, gh_next, out=step), out=gh_rows[-1])
+            for row, gh_after, da_after in zip(gh_rows[-2::-1], gh_rows[:0:-1], da_rows[:0:-1]):
+                np.add(row, np.multiply(da_after, gh_after, out=step), out=row)
+            np.matmul(gh, bt[r, :, None], out=gdtx[r])
+            if gb is not None:
+                np.matmul(dtx[r, None, :], gh, out=gb[r])
+            if gz is not None:
+                gz_rows = gz[s:e]
+                np.multiply(gh_rows[1:], h_rows[:-1], out=gz_rows[1:])
+                if prev is None:
+                    gz_rows[0] = 0
+                else:
+                    np.multiply(gh_rows[0], prev, out=gz_rows[0])
+                gz_rows *= da_rows
+            gh_next, da_next = gh_rows[0].copy(), da_rows[0].copy()
+        gdtx = gdtx.reshape(l * b, c)
+        if gc is not None:
+            give(cm, gc)
+        if gb is not None:
+            give(bm, gb)
         if x.requires_grad:
             give(x, gdtx * dt)
-        if delta.requires_grad or a.requires_grad:
-            gz = gh_rows                                     # gh is spent; gz reuses it
-            gz[1:] *= h_rows[:-1]
-            gz[0] = 0
-            gz *= da_rows
+        if gz is not None:
             gz = gz.reshape(l * b, c, n)
             if a.requires_grad:
                 a._accumulate(np.einsum("icn,ic->cn", gz, dt), owned=True)
             if delta.requires_grad:
                 give(delta, np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt)
 
-    return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)
+    return Tensor._op(_swap_bl(y.reshape(l, b, c)), (delta, x, a, bm, cm), bwd)

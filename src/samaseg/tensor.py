@@ -33,6 +33,11 @@ def no_grad():
         _recording = outer
 
 
+def is_recording() -> bool:
+    """Whether ops made now record the tape: False inside `no_grad()`."""
+    return _recording
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)); exp overflows to inf for x < -88 (float32), which
     gives the correct limit 0, so the overflow warning is silenced."""

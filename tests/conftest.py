@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from samaseg.layers import _col2im, _im2col
+from samaseg.ssm import _swap_bl
 from samaseg.profiler import record_macs
 from samaseg.tensor import Tensor, _unbroadcast
 
@@ -61,6 +62,59 @@ def contract(a: Tensor, b: Tensor, axis) -> Tensor:
                               owned=t.shape != full)
 
     return Tensor._op(out_data, (a, b), bwd)
+
+
+def whole_sequence_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) -> Tensor:
+    """`selective_scan` over the whole sequence at once: exp(delta A) and
+    (delta x) B built into two [L, B*C*N] buffers, the second turned into h
+    in place, and both kept for the backward, which runs the adjoint over
+    all L rows. The time-blocked op must give y and all five input
+    gradients byte for byte."""
+    b, l, c = x.shape
+    n = a.shape[1]
+    record_macs(3 * b * l * c * n)
+    # time-major with (t, b) flattened to one row index i = t*B + b
+    dt, xt, bt, ct = (_swap_bl(np.broadcast_to(v.data, (b, l, v.shape[-1]))).reshape(l * b, -1)
+                      for v in (delta, x, bm, cm))
+    dtx = dt * xt                                            # [LB,C]
+    d_a = np.exp(np.einsum("ic,cn->icn", dt, a.data))        # [LB,C,N]
+    hs = np.einsum("ic,in->icn", dtx, bt)                    # dBu, turned into h in place
+    da_rows, h_rows = d_a.reshape(l, -1), hs.reshape(l, -1)  # [L, B*C*N]
+    step = np.empty_like(h_rows[0])
+    for t in range(1, l):
+        row = h_rows[t]
+        np.add(row, np.multiply(da_rows[t], h_rows[t - 1], out=step), out=row)
+    y = (hs @ ct[:, :, None]).reshape(l, b, c)
+
+    def give(t, rows):   # [L*B,.] rows -> t's gradient, summed down to t's shape
+        t._accumulate(_unbroadcast(_swap_bl(rows.reshape(l, b, -1)), t.shape), owned=True)
+
+    def bwd(g):
+        gy = _swap_bl(g).reshape(l * b, c)
+        if cm.requires_grad:
+            give(cm, gy[:, None, :] @ hs)
+        gh = np.einsum("ic,in->icn", gy, ct)                 # gy_t C_t, then the adjoint
+        gh_rows = gh.reshape(l, -1)
+        for t in range(l - 2, -1, -1):
+            row = gh_rows[t]
+            np.add(row, np.multiply(da_rows[t + 1], gh_rows[t + 1], out=step), out=row)
+        gdtx = (gh @ bt[:, :, None]).reshape(l * b, c)
+        if bm.requires_grad:
+            give(bm, dtx[:, None, :] @ gh)
+        if x.requires_grad:
+            give(x, gdtx * dt)
+        if delta.requires_grad or a.requires_grad:
+            gz = gh_rows                                     # gh is spent; gz reuses it
+            gz[1:] *= h_rows[:-1]
+            gz[0] = 0
+            gz *= da_rows
+            gz = gz.reshape(l * b, c, n)
+            if a.requires_grad:
+                a._accumulate(np.einsum("icn,ic->cn", gz, dt), owned=True)
+            if delta.requires_grad:
+                give(delta, np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt)
+
+    return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

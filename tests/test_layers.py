@@ -240,6 +240,24 @@ class TestConvTape:
         np.testing.assert_array_equal(x.grad, _col2im(gcols, 5, 6, 1, 1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,out_ch,groups", [(64, 32, 1), (8, 16, 2), (8, 8, 8)],
+                             ids=["dense", "grouped", "depthwise"])
+    def test_pointwise_input_gradient_is_the_fold_path(self, rng, cin, out_ch, groups, dtype):
+        # a 1x1 stride-1 unpadded conv's columns are x, so W^T @ g reshaped
+        # is x's gradient; it must equal W^T @ g added into a zeroed map
+        conv = Conv2d(cin, out_ch, 1, rng, groups=groups, dtype=dtype)
+        x = Tensor(rng.uniform(-1, 1, size=(2, cin, 16, 16)).astype(dtype), requires_grad=True)
+        y = conv(x)
+        g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
+        y.backward(g)
+        wt = conv.weight.data.reshape(groups, out_ch // groups, -1).swapaxes(-1, -2)
+        gcols = np.matmul(wt, g.reshape(2, groups, out_ch // groups, -1))
+        want = np.zeros(x.shape, dtype=dtype)
+        layers._fold(want, gcols.reshape(2, cin, 1, 1, 16, 16), 1, 0, (0, 16), (0, 16))
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape,out_ch,k,stride,padding,groups,blocks", [
         ((2, 16, 128, 128), 32, 3, 2, 1, 1, 5),
         ((1, 8, 130, 77), 8, 5, 1, 2, 1, 1),

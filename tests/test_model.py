@@ -364,7 +364,8 @@ class TestTapeMemory:
         # One graph-recording forward of the desk default at 128 px, batch 1:
         # what the tape keeps alive until the backward. A conv node keeps its
         # input, not the k^2-fold im2col columns; with the columns kept this
-        # read 72.3 MiB, without them 47.3 MiB.
+        # read 72.3 MiB, without them 47.3 MiB, and with each scan keeping
+        # h only at its time blocks' ends 39.9 MiB.
         model = SamaUNet(ModelConfig(), np.random.default_rng(0))
         img = np.random.default_rng(1).uniform(-1, 1, size=(1, 1, 128, 128)).astype(np.float32)
         predict(model, img)      # fills the per-shape caches outside the measurement

@@ -1,23 +1,25 @@
 """Selective scan against a naive unrolled recurrence, causality by
 perturbation, the static-mode reduction to a linear convolution, the fused
 op's gradients against a per-timestep autodiff loop and central
-differences, a graph-size guard, and wall-time linearity in sequence
-length."""
+differences, the time-blocked op against the whole-sequence one byte for
+byte, a graph-size guard, memory bounds, and wall-time linearity in
+sequence length."""
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import samaseg
-from conftest import randt
+from conftest import randt, whole_sequence_scan
 from samaseg.gradcheck import grad_check
-from samaseg.ssm import SelectiveSsm, selective_scan
-from samaseg.tensor import Tensor, concat
+from samaseg.ssm import SCAN_BUDGET, SelectiveSsm, selective_scan
+from samaseg.tensor import Tensor, concat, no_grad
 
 
 def softplus_np(z):
@@ -230,6 +232,83 @@ class TestScanOp:
         assert counts[16] == counts[256] <= 16, counts
 
 
+def scan_inputs(rng, b, l, c, n, static, dtype):
+    """delta, x, A, B and C for a scan: [B,L,.] or, static, [C] and [N]
+    vectors; delta positive and A strictly negative."""
+    lead = () if static else (b, l)
+    return [rng.uniform(0.1, 1.5, size=(*lead, c)).astype(dtype),
+            rng.uniform(-1, 1, size=(b, l, c)).astype(dtype),
+            rng.uniform(-3.0, -0.5, size=(c, n)).astype(dtype),
+            rng.uniform(-1, 1, size=(*lead, n)).astype(dtype),
+            rng.uniform(-1, 1, size=(*lead, n)).astype(dtype)]
+
+
+class TestTimeBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("static", [False, True], ids=["selective", "static"])
+    @pytest.mark.parametrize("b,l,c,n,blocks", [
+        (4, 1024, 16, 8, 8),
+        (4, 1000, 16, 8, 8),
+        (4, 1025, 16, 8, 9),
+        (2, 1, 3, 4, 1),
+        (4, 5, 96, 96, 5),
+        (2, 9, 3, 4, 1),
+    ], ids=["several", "ragged", "last-of-one-step", "one-step", "one-step-blocks", "one-block"])
+    def test_matches_the_whole_sequence_scan_bytewise(self, rng, b, l, c, n, blocks, static,
+                                                      dtype):
+        # y and all five input gradients against the scan that builds
+        # exp(delta A) and h for the whole sequence at once. The cases pin
+        # the block count: 128-step blocks at [4,L,16] and N = 8, where L =
+        # 1000 leaves a shorter last block and L = 1025 one of a single
+        # step; a row of 4*96*96 elements, over half the budget, makes each
+        # block one step
+        assert -(-l // max(1, SCAN_BUDGET // (b * c * n))) == blocks
+        inputs = scan_inputs(rng, b, l, c, n, static, dtype)
+        seed = rng.standard_normal((b, l, c)).astype(dtype)
+
+        def run(scan):
+            ts = [Tensor(v, requires_grad=True) for v in inputs]
+            y = scan(*ts)
+            y.backward(seed)
+            return [y.data] + [t.grad for t in ts]
+
+        for got, want in zip(run(selective_scan), run(whole_sequence_scan), strict=True):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_node_retains_at_most_2_mib_at_1024_steps(self, rng):
+        # infer_128's finest scale, four views of [1024,16] and N = 8: the
+        # node keeps its time-major inputs and h at each block's end (about
+        # 1.3 MiB with y); kept whole, exp(delta A) and h held 5.3 MiB
+        inputs = [Tensor(v, requires_grad=True)
+                  for v in scan_inputs(rng, 4, 1024, 16, 8, False, np.float32)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = selective_scan(*inputs)
+            retained = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert retained <= 2, f"{retained:.1f} MiB"
+
+    def test_no_grad_forward_at_4096_steps_peaks_at_most_10_mib(self, rng):
+        # [4,4096,16] and N = 8, the finest scale at 256 px: its exp(delta A)
+        # and h are 8 MiB each as a whole, and the whole-sequence scan
+        # peaked at 22 MiB in float32; in time blocks only the carried h,
+        # y and the [B,L,.] inputs outlive a block
+        inputs = [Tensor(v) for v in scan_inputs(rng, 4, 4096, 16, 8, False, np.float32)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                selective_scan(*inputs)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10, f"{peak:.1f} MiB"
+
+
 class TestCausality:
     def test_prefix_bitwise_unchanged_by_future_perturbation(self, rng):
         ssm = SelectiveSsm(3, 4, rng, dtype=np.float64)
@@ -293,6 +372,37 @@ print(json.dumps(best[4096] / best[1024]))
 """
 
 
+NO_GRAD_SCALING_SCRIPT = """
+import json, time
+import numpy as np
+from samaseg.ssm import SelectiveSsm
+from samaseg.tensor import Tensor, no_grad
+ssm = SelectiveSsm(16, 8, np.random.default_rng(0))
+data_rng = np.random.default_rng(1)
+inputs = {l: data_rng.uniform(-1, 1, size=(8, l, 16)).astype(np.float32) for l in (256, 1024)}
+best = {l: float("inf") for l in inputs}
+for _ in range(5):
+    for l, x_np in inputs.items():
+        x = Tensor(x_np)
+        t0 = time.perf_counter()
+        with no_grad():
+            ssm(x)
+        best[l] = min(best[l], time.perf_counter() - t0)
+print(json.dumps(best[1024] / best[256]))
+"""
+
+
+def run_fresh(script: str) -> float:
+    """Run `script` in a fresh interpreter with BLAS on one thread and
+    return the JSON number it prints."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True, timeout=300)
+    return json.loads(out.stdout)
+
+
 class TestWallTimeLinearity:
     def test_forward_backward_time_grows_linearly_in_length(self):
         # 4x the length must cost well under 8x the time; a per-step graph
@@ -300,10 +410,20 @@ class TestWallTimeLinearity:
         # runs on one thread in a fresh interpreter, because on a small host
         # handing a [4096,16] matmul to a second thread costs milliseconds
         # that have nothing to do with the scan.
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
-        out = subprocess.run([sys.executable, "-c", SCALING_SCRIPT], env=env, check=True,
-                             stdout=subprocess.PIPE, text=True, timeout=300)
-        ratio = json.loads(out.stdout)
+        ratio = run_fresh(SCALING_SCRIPT)
         assert ratio < 8.0, ratio
+
+    def test_no_grad_forward_time_grows_linearly_in_length(self):
+        # desk64's finest scale, four views of 256 steps by 16 channels
+        # and N = 8, against 4x the steps: the time-blocked forward must
+        # take under 4x the time. Each block's [T, B*C*N] arrays stay in
+        # L2 at both lengths, and the fixed per-call copies weigh less at
+        # the longer one, so the ratio read 2.8-3.5 in 14 runs on a 2-vCPU
+        # host; building exp(delta A) and h for the whole sequence (4 MiB
+        # each at 1024 steps) read 4.2-6.3. The forward plus backward gets
+        # no such bound: at [4,L,16] and 1024 -> 4096 steps its ratio read
+        # 3.7-4.1 for the whole-sequence scan and 4.4-6.7 in blocks, which
+        # speed up the shorter scan (15-21 -> 11-19 ms) more than the
+        # longer one, whose backward also rebuilds every block.
+        ratio = run_fresh(NO_GRAD_SCALING_SCRIPT)
+        assert ratio < 4.0, ratio
