@@ -12,24 +12,17 @@ nodes on the tape. LayerNorm (over axis 1) and GroupNorm (over each group
 of channels and positions) share one normalisation op, whose backward keeps
 only the normalised input and 1/sigma; softmax's keeps only its output.
 
-Every convolution (dense, grouped, depthwise) is one op, W @ im2col(x) + b
-with channel-major [B,G,(C/G)*kh*kw,OH*OW] columns, and so is every
-transpose convolution, col2im(W^T @ x) + b, which never multiplies inserted
-zeros. col2im is the exact adjoint of im2col, so each op's backward runs
-the other; the local attention core reads its neighbourhoods through them
-too. A convolution runs over blocks of whole output rows whose columns hold
-at most `COL_BUDGET` elements, 1 MiB in float32 or half of a 2 MiB L2; one
-whose columns fit is one block of the same loop. Its input gradient runs
-over blocks of input rows: each forms W^T @ g for the output rows whose
-windows meet it, a halo of rows past the block included, and adds each
-tap's rectangle in tap order, so every pixel sums the same products in the
-same order as one col2im of the whole map. Blocks are wide and aligned so
-that BLAS gives every pixel the bits of the unblocked matmul. A
-convolution's tape node keeps x, W and b but not its columns, k^2 copies of
-x: W's gradient rebuilds the full columns from x, since splitting its sum
-over pixels would change its float order, so a forward that is never
-differentiated builds them once. A 1x1 stride-1 window's columns are x
-itself, with no copy. Adaptive pooling is one op, rows @ x @ cols^T with
+Convolution arithmetic exists once, as three kernels over one checked
+plan: the forward W @ im2col(x) over channel-major [B,G,(C/G)*kh*kw,OH*OW]
+columns in blocks of output rows, the input gradient col2im(W^T @ g) in
+blocks of input rows, and the weight gradient g @ im2col(x)^T from the full
+columns. `conv2d` (dense, grouped, depthwise) is one op over them, and so is
+`ConvTranspose2d`, the conv's input gradient with the roles swapped, which
+never multiplies inserted zeros. A block holds at most `COL_BUDGET` column
+elements, and blocks are aligned so that BLAS gives every pixel the bits of
+the whole-map matmul; a tape node keeps its inputs, not their k^2-fold
+columns. The local attention core reads its neighbourhoods through im2col
+and col2im too. Adaptive pooling is one op, rows @ x @ cols^T with
 averaging matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
@@ -39,6 +32,7 @@ convention (no kernel flip).
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -215,81 +209,102 @@ def _row_blocks(oh: int, ow: int, k: int, s: int, row_cols: int,
     return [j * oh // n for j in range(n)] + [oh], halo
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
-    one op, W @ im2col(x) + b, run over blocks of whole output rows whose
-    columns hold at most `COL_BUDGET` elements, so each block stays in
-    cache; a conv that fits the budget is one block. Each block builds its
-    columns and runs one matmul into its rows of y, and none is kept: the
-    node keeps only x, W and b, not the k^2-fold columns. A 1x1 stride-1
-    window's columns are x itself, and a conv with one output channel per
-    group is a matrix-vector product (see `_COL_ALIGN`): each is one block.
+# A checked conv geometry: x [B,C,H,W] and W [out,C/groups,kh,kw] give
+# y [B,out,OH,OW], computed in the output-row blocks `bounds`, whose
+# input-gradient blocks also read `halo` rows past them
+_Plan = collections.namedtuple("_Plan", "x_shape w_shape stride padding groups oh ow bounds halo")
 
-    The backward gives b as g summed, and x as col2im(W^T @ g) (a broadcast
-    product when each group has one output channel, where the matmul's
-    inner dimension is 1) over blocks of input rows: each block forms W^T @ g
-    for the output rows whose windows meet it, halo included, within the
-    same budget, and adds each tap's rectangle in tap order, so every pixel
-    sums the same products in the same order as one unblocked col2im. W's
-    gradient is g @ cols^T summed over the batch, from the full columns
-    rebuilt from x, only when W needs it: splitting that sum over pixel
-    blocks would change its float order."""
-    b, c, h, w = x.shape
-    out_ch, cg, kh, kw = weight.shape
+
+def _plan(x_shape: tuple, w_shape: tuple, stride: int, padding: int, groups: int) -> _Plan:
+    b, c, h, w = x_shape
+    out_ch, cg, kh, kw = w_shape
     if c % groups or out_ch % groups or cg != c // groups:
-        raise ValueError(f"conv group mismatch: in={c} out={out_ch} groups={groups} weight={weight.shape}")
+        raise ValueError(f"conv group mismatch: in={c} out={out_ch} groups={groups} weight={w_shape}")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    geo = (kh, kw, stride, padding)
-    bounds, halo = _row_blocks(oh, ow, kh, stride, 0 if _pointwise(*geo) else b * c * kh * kw * ow,
+    bounds, halo = _row_blocks(oh, ow, kh, stride,
+                               0 if _pointwise(kh, kw, stride, padding) else b * c * kh * kw * ow,
                                0 if out_ch == groups else out_ch // groups * cg * kh * kw * ow)
+    return _Plan(x_shape, w_shape, stride, padding, groups, oh, ow, bounds, halo)
 
-    def columns(rows=None):
-        cols = _im2col(x.data, *geo, rows)
-        return cols.reshape(b, groups, -1, cols.shape[-2] * ow)
 
-    wm = weight.data.reshape(groups, out_ch // groups, cg * kh * kw)
-    y = np.empty((b, groups, out_ch // groups, oh * ow), dtype=np.result_type(x.data, wm))
-    for r0, r1 in zip(bounds, bounds[1:]):
-        np.matmul(wm, columns((r0, r1)), out=y[..., r0 * ow:r1 * ow])
-    y = y.reshape(b, out_ch, oh, ow)
+def _columns(x: np.ndarray, plan: _Plan, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """[B,G,(C/G)*kh*kw,R*OW] columns of output rows [r0, r1), all by default."""
+    cols = _im2col(x, *plan.w_shape[2:], plan.stride, plan.padding, rows)
+    return cols.reshape(x.shape[0], plan.groups, -1, cols.shape[-2] * plan.ow)
+
+
+def _conv_forward(x: np.ndarray, wm: np.ndarray, plan: _Plan) -> np.ndarray:
+    """W @ im2col(x), a fresh [B,out,OH,OW], from x [B,C,H,W] and wm
+    [G,out/G,(C/G)*kh*kw]: each output-row block builds its columns and runs
+    one matmul into its rows, and none is kept."""
+    b, ow = x.shape[0], plan.ow
+    y = np.empty((b, *wm.shape[:2], plan.oh * ow), dtype=np.result_type(x, wm))
+    for r0, r1 in zip(plan.bounds, plan.bounds[1:]):
+        np.matmul(wm, _columns(x, plan, (r0, r1)), out=y[..., r0 * ow:r1 * ow])
+    return y.reshape(b, -1, plan.oh, ow)
+
+
+def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
+    """col2im(W^T @ g), a fresh [B,C,H,W], from gm [B,G,out/G,OH*OW] and wt
+    [G,(C/G)*kh*kw,out/G], over blocks of input rows: each forms W^T @ g for
+    the output rows whose windows meet it, halo included, and adds each
+    tap's rectangle in tap order, so every pixel sums the same products in
+    the same order as one col2im of the whole map. W^T @ g is a broadcast
+    product when each group has one output channel (an inner dimension of 1)."""
+    (b, c, h, w), (_, _, kh, kw), s, p, _, oh, ow, bounds, halo = plan
+
+    def col_grad(gb):
+        return wt * gb if wt.shape[-1] == 1 else np.matmul(wt, gb)
+
+    if _pointwise(kh, kw, s, p):   # the columns are x itself, so W^T @ g is its gradient
+        return col_grad(gm).reshape(plan.x_shape)
+    # the input block of output block [r0, r1) starts at the row that r0's
+    # last tap reads, which no earlier output row reaches, and ends where the
+    # next one starts, so output rows [r0, r1 + halo) hold every product its
+    # pixels sum
+    edges = [0] + [min(h, max(0, r * s - p + kh - 1)) for r in bounds[1:-1]] + [h]
+    gx = np.zeros(plan.x_shape, dtype=np.result_type(gm, wt))
+    for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
+        o1 = min(oh, o1 + halo)
+        gcols = col_grad(gm[..., o0 * ow:o1 * ow])
+        _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), s, p, (i0, i1), (o0, o1))
+    return gx
+
+
+def _conv_weight_grad(x: np.ndarray, gm: np.ndarray, plan: _Plan) -> np.ndarray:
+    """g @ im2col(x)^T summed over the batch, [G,out/G,(C/G)*kh*kw], from the
+    full columns: splitting that sum over pixel blocks would change its
+    float order."""
+    return np.matmul(gm, _columns(x, plan).swapaxes(-1, -2)).sum(axis=0)
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
+           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+    """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
+    one op, W @ im2col(x) + b in blocks of output rows (`_conv_forward`). The
+    node keeps only x, W and b. The backward gives b as g summed, x by
+    `_conv_input_grad`, and W by `_conv_weight_grad`, whose columns it
+    rebuilds from x only when W needs a gradient."""
+    plan = _plan(x.shape, weight.shape, stride, padding, groups)
+    out_ch = weight.shape[0]
+    wm = weight.data.reshape(groups, out_ch // groups, -1)
+    y = _conv_forward(x.data, wm, plan)
     record_macs(y.size * wm.shape[-1])
     if bias is not None:
         y += bias.data.reshape(1, out_ch, 1, 1)
 
     def bwd(g):
-        gm = g.reshape(b, groups, out_ch // groups, oh * ow)
+        gm = g.reshape(x.shape[0], groups, out_ch // groups, -1)
         if weight.requires_grad:
-            gw = np.matmul(gm, columns().swapaxes(-1, -2)).sum(axis=0)
-            weight._accumulate(gw.reshape(weight.shape), owned=True)
+            weight._accumulate(_conv_weight_grad(x.data, gm, plan).reshape(weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-        if not x.requires_grad:
-            return
-        wt = wm.swapaxes(-1, -2)
-
-        def col_grad(gb):   # W^T @ g; a broadcast product for one output channel per group
-            return wt * gb if out_ch == groups else np.matmul(wt, gb)
-
-        if _pointwise(*geo):   # the columns are x itself, so W^T @ g is its gradient
-            x._accumulate(col_grad(gm).reshape(x.shape), owned=True)
-            return
-        # the input block of output block [r0, r1) starts at the row that
-        # r0's last tap reads, which no earlier output row reaches, and ends
-        # where the next one starts, so output rows [r0, r1 + halo) hold
-        # every product its pixels sum
-        edges = [0] + [min(h, max(0, r * stride - padding + kh - 1)) for r in bounds[1:-1]] + [h]
-        gx = np.zeros((b, c, h, w), dtype=g.dtype)
-        for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
-            o1 = min(oh, o1 + halo)
-            gcols = col_grad(gm[..., o0 * ow:o1 * ow])
-            _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), stride, padding,
-                  (i0, i1), (o0, o1))
-        x._accumulate(gx, owned=True)
+        if x.requires_grad:
+            x._accumulate(_conv_input_grad(gm, wm.swapaxes(-1, -2), plan), owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 
@@ -311,8 +326,11 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Transpose convolution, col2im(W^T @ x) + b as one op: the adjoint of
-    Conv2d with the same geometry, whose backward runs im2col on g.
+    """Transposed convolution, the input gradient of the conv with the same
+    weight and geometry, as one op over conv2d's kernels with the roles
+    swapped: its forward is the input-gradient kernel, col2im(W^T @ x) + b;
+    x's gradient is the forward kernel on g, and W's the weight kernel with
+    x and g swapped.
 
     Weight layout is [in, out, kh, kw]; output extent (H-1)*s - 2p + k.
     """
@@ -325,42 +343,43 @@ class ConvTranspose2d(Module):
         self.bias = uniform(rng, (out_ch,), bound, dtype) if bias else None
         self.stride = stride
         self.padding = padding
-        self.kernel = kernel
 
     def __call__(self, x: Tensor) -> Tensor:
-        k, s, p = self.kernel, self.stride, self.padding
-        if k - 1 - p < 0:
-            raise ValueError("transpose conv requires padding <= kernel-1")
+        s, p = self.stride, self.padding
         weight, bias = self.weight, self.bias
+        in_ch, out_ch, k, _ = weight.shape
         b, c, h, w = x.shape
-        in_ch, out_ch = weight.shape[:2]
-        wt = np.ascontiguousarray(weight.data.reshape(in_ch, out_ch * k * k).T)
-        xm = x.data.reshape(b, c, h * w)
-        cols = np.matmul(wt, xm)                                 # [B,out*k*k,H*W]
-        record_macs(cols.size * c)
+        if c != in_ch:
+            raise ValueError(f"transposed conv expects {in_ch} channels on axis 1, got {x.shape}")
+        if k - 1 - p < 0:
+            raise ValueError("transposed conv requires padding <= kernel-1")
         oh, ow = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
-        y = _col2im(cols.reshape(b, out_ch, k, k, h, w), oh, ow, s, p)
+        if oh < 1 or ow < 1:
+            raise ValueError(f"transposed conv output would be empty: input {h}x{w}, "
+                             f"kernel {k}x{k}, stride {s}, padding {p}")
+        plan = _plan((b, out_ch, oh, ow), weight.shape, s, p, 1)   # the conv from y back to x
+        # W^T is kept contiguous and W used as its view: BLAS rounds the
+        # small products of 1x1 and 2x2 inputs by operand layout
+        wt = np.ascontiguousarray(weight.data.reshape(in_ch, -1).T)[None]   # [1,out*k*k,in]
+        xm = x.data.reshape(b, 1, in_ch, h * w)
+        y = _conv_input_grad(xm, wt, plan)
+        record_macs(x.size * wt.shape[1])
         if bias is not None:
             y += bias.data.reshape(1, out_ch, 1, 1)
 
         def bwd(g):
-            gcols = _im2col(g, k, k, s, p).reshape(b, out_ch * k * k, h * w)
             if weight.requires_grad:
-                gw = np.matmul(gcols, xm.swapaxes(1, 2)).sum(axis=0)
-                weight._accumulate(gw.T.copy().reshape(weight.shape), owned=True)
+                weight._accumulate(_conv_weight_grad(g, xm, plan).reshape(weight.shape), owned=True)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
             if x.requires_grad:
-                x._accumulate(np.matmul(wt.T, gcols).reshape(x.shape), owned=True)
+                x._accumulate(_conv_forward(g, wt.swapaxes(-1, -2), plan), owned=True)
 
         return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 class GroupNorm(Module):
-    def __init__(self, channels: int, num_groups: int | None = None,
-                 eps: float = 1e-5, dtype=np.float32):
-        if num_groups is None:
-            num_groups = 8 if channels >= 8 else channels
+    def __init__(self, channels: int, num_groups: int, eps: float = 1e-5, dtype=np.float32):
         if channels % num_groups:
             raise ValueError(f"channels {channels} not divisible by groups {num_groups}")
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)

@@ -1,11 +1,11 @@
 """Multiply-accumulate counting and the parameter/FLOPs report.
 
-Counting is op-level: `Linear`, `conv2d`, `ConvTranspose2d`, matmul, the
-two attention cores and the selective scan report their exact MAC counts
-as they execute, attributed to the innermost active scope. A forward pass under
+Counting is op-level: `Linear`, `conv2d` and `ConvTranspose2d` (each once
+per forward, not in the conv kernels they share), matmul, the two attention
+cores and the selective scan report their exact MAC counts as they execute,
+attributed to the innermost active scope. A forward pass under
 ``count_macs()`` therefore yields analytic per-layer counts without a
-separate shape-walking model. GFLOPs are reported as
-2x MACs; the convention is stated in the report header.
+separate shape-walking model. GFLOPs are 2x MACs, as the report header says.
 """
 
 from __future__ import annotations

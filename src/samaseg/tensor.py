@@ -426,7 +426,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._op(out_data, parts, bwd)
 
 
-def uniform(rng: np.random.Generator, shape, bound: float, dtype=np.float32,
-            requires_grad: bool = True) -> Tensor:
+def uniform(rng: np.random.Generator, shape, bound: float, dtype=np.float32) -> Tensor:
     data = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=requires_grad)
+    return Tensor(data, requires_grad=True)

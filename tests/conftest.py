@@ -117,6 +117,36 @@ def whole_sequence_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Ten
     return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)
 
 
+def whole_map_conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None,
+                               stride: int, padding: int) -> Tensor:
+    """The transposed conv as its own whole-map op: a contiguous W^T @ x,
+    then col2im; the backward builds im2col(g) once, for W @ im2col(g) and
+    W's gradient. `ConvTranspose2d` on conv2d's blocked kernels must give its
+    output and gradients byte for byte."""
+    k, s, p = weight.shape[2], stride, padding
+    b, c, h, w = x.shape
+    in_ch, out_ch = weight.shape[:2]
+    wt = np.ascontiguousarray(weight.data.reshape(in_ch, out_ch * k * k).T)
+    xm = x.data.reshape(b, c, h * w)
+    cols = np.matmul(wt, xm)                                 # [B,out*k*k,H*W]
+    oh, ow = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
+    y = _col2im(cols.reshape(b, out_ch, k, k, h, w), oh, ow, s, p)
+    if bias is not None:
+        y += bias.data.reshape(1, out_ch, 1, 1)
+
+    def bwd(g):
+        gcols = _im2col(g, k, k, s, p).reshape(b, out_ch * k * k, h * w)
+        if weight.requires_grad:
+            gw = np.matmul(gcols, xm.swapaxes(1, 2)).sum(axis=0)
+            weight._accumulate(gw.T.copy().reshape(weight.shape), owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+        if x.requires_grad:
+            x._accumulate(np.matmul(wt.T, gcols).reshape(x.shape), owned=True)
+
+    return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop 2D matrix product."""
     n, k = a.shape

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold
+from conftest import (naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold,
+                      whole_map_conv_transpose2d)
 from samaseg import layers
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
@@ -24,7 +26,7 @@ from samaseg.layers import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linea
                             Module, _cell_matrix, _col2im, _im2col, adaptive_avg_pool2d,
                             conv2d, softmax)
 from samaseg.profiler import count_macs
-from samaseg.tensor import Tensor
+from samaseg.tensor import Tensor, no_grad
 
 
 # The composite chains the fused ops replaced, kept as float64 oracles for
@@ -457,6 +459,111 @@ class TestConvTranspose2d:
                             x[0, ic, i, j] * ct.weight.data[ic, oc]
         expected = full[:, :, p:p + oh, p:p + oh] + ct.bias.data.reshape(1, 3, 1, 1)
         np.testing.assert_allclose(ct(Tensor(x)).data, expected, rtol=1e-12, atol=1e-13)
+
+    def test_input_channels_must_match_the_weight(self, rng):
+        ct = ConvTranspose2d(2, 3, 2, rng, stride=2, dtype=np.float64)
+        with pytest.raises(ValueError, match="transposed conv expects 2 channels"):
+            ct(Tensor(np.zeros((1, 3, 4, 4))))
+
+    @pytest.mark.parametrize("extent", [2, 1])
+    def test_empty_output_is_rejected(self, rng, extent):
+        # (H-1)s - 2p + k is 0 at 2x2 and -1 at 1x1
+        ct = ConvTranspose2d(2, 3, 3, rng, stride=1, padding=2, dtype=np.float64)
+        with pytest.raises(ValueError, match="would be empty"):
+            ct(Tensor(np.zeros((1, 2, extent, extent))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,out_ch,k,stride,padding,blocks", [
+        ((2, 16, 64, 64), 16, 2, 2, 0, 3),
+        ((2, 16, 64, 64), 16, 4, 2, 1, 11),
+        ((2, 8, 9, 16), 8, 3, 2, 1, 1),
+        ((2, 128, 1, 1), 64, 2, 2, 0, 1),
+        ((2, 64, 2, 2), 32, 2, 2, 0, 1),
+        ((2, 32, 4, 4), 16, 2, 2, 0, 1),
+        ((2, 16, 8, 8), 16, 2, 2, 0, 1),
+        ((2, 16, 16, 16), 16, 2, 2, 0, 1),
+        ((2, 128, 2, 2), 64, 2, 2, 0, 1),
+        ((2, 64, 4, 4), 32, 2, 2, 0, 1),
+        ((2, 32, 8, 8), 16, 2, 2, 0, 1),
+        ((2, 16, 32, 32), 16, 2, 2, 0, 1),
+        ((1, 128, 4, 4), 64, 2, 2, 0, 1),
+        ((1, 64, 8, 8), 32, 2, 2, 0, 1),
+        ((1, 32, 16, 16), 16, 2, 2, 0, 1),
+        ((1, 16, 32, 32), 16, 2, 2, 0, 1),
+        ((1, 16, 64, 64), 16, 2, 2, 0, 1),
+    ], ids=["split", "split-k4-overlap", "k3-overlap",
+            "overfit-ups.2-1x1", "overfit-ups.1-2x2", "overfit-ups.0-4x4", "overfit-up1-8x8",
+            "overfit-up2-desk64-up1-16x16", "desk64-ups.2-2x2", "desk64-ups.1-4x4", "desk64-ups.0-8x8",
+            "desk64-up2-32x32", "128px-ups.2-4x4", "128px-ups.1-8x8", "128px-ups.0-16x16",
+            "128px-up1-32x32", "128px-up2-64x64"])
+    def test_blocked_kernels_give_the_whole_map_op_bit_for_bit(self, monkeypatch, shape, out_ch,
+                                                               k, stride, padding, blocks,
+                                                               dtype):
+        # y and the x, W and b gradients against the whole-map op. The
+        # forward folds one block of rows per call; [2,16,64,64] holds 2^19
+        # column elements against the 2^18 budget, and 128 px's up2 exactly
+        # 2^18, one block. The other shapes are the upsamplers of the overfit
+        # recipe (batch 2), desk64 (batch 2) and the desk default at 128 px
+        # (batch 1)
+        rng = np.random.default_rng(0)
+        b, c, h, w = shape
+        ct = ConvTranspose2d(c, out_ch, k, rng, stride=stride, padding=padding, dtype=dtype)
+        x_np = rng.uniform(-1, 1, size=shape).astype(dtype)
+        oh, ow = (h - 1) * stride - 2 * padding + k, (w - 1) * stride - 2 * padding + k
+        g = rng.uniform(-1, 1, size=(b, out_ch, oh, ow)).astype(dtype)
+
+        folds = []
+        fold = layers._fold
+        monkeypatch.setattr(layers, "_fold", lambda *a: folds.append(a) or fold(*a))
+        x = Tensor(x_np, requires_grad=True)
+        y = ct(x)
+        monkeypatch.undo()
+        assert len(folds) == blocks
+        y.backward(g)
+        got = [y.data, x.grad, ct.weight.grad, ct.bias.grad]
+
+        ct.zero_grad()
+        x = Tensor(x_np, requires_grad=True)
+        y = whole_map_conv_transpose2d(x, ct.weight, ct.bias, stride, padding)
+        y.backward(g)
+        for a, want in zip(got, [y.data, x.grad, ct.weight.grad, ct.bias.grad]):
+            assert a.dtype == want.dtype and a.shape == want.shape
+            assert a.tobytes() == want.tobytes()
+
+    def test_one_node_and_no_conv2d_call(self, rng, monkeypatch):
+        # the op runs conv2d's private kernels: perfbench times calls to
+        # `layers.conv2d`, which must not count the transposed convs
+        calls, nodes = [], []
+        monkeypatch.setattr(layers, "conv2d", lambda *a, **kw: calls.append(a))
+        op = Tensor._op
+        monkeypatch.setattr(Tensor, "_op", staticmethod(lambda *a: nodes.append(a) or op(*a)))
+        ct = ConvTranspose2d(3, 2, 3, rng, stride=2, padding=1, dtype=np.float64)
+        x = randt(rng, (2, 3, 4, 5))
+        y = ct(x)
+        y.backward(np.ones(y.shape))
+        assert calls == [] and len(nodes) == 1
+        assert all(t.grad is not None for t in [x] + ct.parameters())
+
+    def test_no_grad_forward_at_128_px_peaks_at_most_6_5_mib(self, rng):
+        # FinalExpand.up2's shape at 256 px, [1,16,128,128] in and a 4 MiB
+        # float32 map out: the whole-map W^T @ x kept 4 MiB of columns
+        # besides and peaked at 8.1 MiB; in input-row blocks within
+        # `COL_BUDGET` it peaks at 5.7. This has no wall-time twin in the
+        # style of TestWallTimeLinearity: from 128 to 256 px, in a fresh
+        # interpreter with BLAS threads 1, the forward and input-gradient
+        # ratios of the two ops overlapped in scratch runs, so no bound
+        # fails at the whole-map op alone
+        ct = ConvTranspose2d(16, 16, 2, rng, stride=2)
+        x = Tensor(rng.uniform(-1, 1, size=(1, 16, 128, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                ct(x)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5, f"{peak:.1f} MiB"
 
 
 class TestNorms:
