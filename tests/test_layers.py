@@ -551,7 +551,7 @@ class TestConvTranspose2d:
         # `COL_BUDGET` it peaks at 5.7. This has no wall-time twin in the
         # style of TestWallTimeLinearity: from 128 to 256 px, in a fresh
         # interpreter with BLAS threads 1, the forward and input-gradient
-        # ratios of the two ops overlapped in scratch runs, so no bound
+        # ratios of the two ops overlapped in trial runs, so no bound
         # fails at the whole-map op alone
         ct = ConvTranspose2d(16, 16, 2, rng, stride=2)
         x = Tensor(rng.uniform(-1, 1, size=(1, 16, 128, 128)).astype(np.float32))
