@@ -31,6 +31,11 @@ of the composite unfold/contract/softmax chains that the tests keep as
 oracles, so values and gradients match those chains bit for bit. Each
 returns its [B,heads,c,HW] result as the [B,d,H,W] map, so the group
 norm reads it with no reshape node.
+
+Each core's node keeps its parents and the key softmax s, and nothing
+else of the size of a map: the backward rebuilds the weights from s with
+`_weights`, and the local core's key and value columns from its maps
+with `_im2col`, by the forward's own calls, so they carry its bits.
 """
 
 from __future__ import annotations
@@ -76,19 +81,25 @@ class AttnConfig:
 
 def _diff_weights(logits: np.ndarray, lam: Tensor | None, heads: int):
     """Softmax of [B,sub-heads,keys,HW] logits over the keys (axis -2),
-    then s1 - lam * s2 when each head has two sub-heads (the differential
-    halves; lam is None in plain mode). Overwrites `logits` with the
-    softmax s and returns the [B,heads,keys,HW] weights and s, which the
-    adjoint needs."""
+    then `_weights` of it. Overwrites `logits` with the softmax s and
+    returns the weights and s, which the adjoint needs."""
     s = logits
     s -= s.max(axis=-2, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-2, keepdims=True)
+    return _weights(s, lam, heads), s
+
+
+def _weights(s: np.ndarray, lam: Tensor | None, heads: int) -> np.ndarray:
+    """The [B,heads,keys,HW] weights of the key softmax s: s1 - lam * s2
+    when each head has two sub-heads (the differential halves), s itself
+    in plain mode (lam is None). A backward calls it again on the kept s,
+    so it rebuilds the forward's weights bit for bit."""
     if lam is None:
-        return s, s
+        return s
     w = lam.data.reshape(1, heads, 1, 1) * s[:, 1::2]
     np.subtract(s[:, 0::2], w, out=w)
-    return w, s
+    return w
 
 
 def _diff_weights_grad(g: np.ndarray, s: np.ndarray, lam: Tensor | None, heads: int):
@@ -135,7 +146,9 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
     def bwd(g):
         g = g.reshape(b, heads, cv, n)
         if v.requires_grad:
+            w = _weights(s, lam, heads)
             v._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(v.shape), owned=True)
+            del w
         gw = np.matmul(vp.swapaxes(-1, -2), g)
         glogits, glam = _diff_weights_grad(gw, s, lam, heads)
         glogits *= scale
@@ -218,7 +231,9 @@ class DiffAggAttention(Module):
     def _local_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
         """Attention over each pixel's zero-padded k x k neighbourhood as one
         op, read straight from im2col's [B,G,c*k^2,HW] columns of the key and
-        value maps; returns the [B,d,H,W] map. The backward runs col2im on
+        value maps; returns the [B,d,H,W] map. The node keeps the key
+        softmax s and no columns: the backward builds each map's columns
+        again with `_im2col`, and the weights from s, and runs col2im on
         the column gradients."""
         cfg = self.cfg
         b, d, hh, ww = v_map.shape
@@ -226,33 +241,33 @@ class DiffAggAttention(Module):
         cs, pad = d // sub, kk // 2
         lam = self.lam if sub != heads else None
         scale = q.dtype.type(1.0 / cs ** 0.5)
-
         qs = q.data.reshape(b, sub, cs, 1, n)
-        kcols = _im2col(k_map.data, kk, kk, 1, pad)
-        kn = kcols.reshape(b, sub, cs, kk * kk, n)
-        logits = (qs * kn).sum(axis=2)                               # [B,sub,k^2,HW]
+
+        def columns(t, groups):   # [B,groups,c,k^2,HW] neighbourhoods of t's map
+            return _im2col(t.data, kk, kk, 1, pad).reshape(b, groups, -1, kk * kk, n)
+
+        logits = (qs * columns(k_map, sub)).sum(axis=2)              # [B,sub,k^2,HW]
         logits *= scale
         logits += _mask_bias(hh, ww, kk, q.dtype)
         w, s = _diff_weights(logits, lam, heads)
-        wr = w.reshape(b, heads, 1, kk * kk, n)
-        vcols = _im2col(v_map.data, kk, kk, 1, pad)
-        vn = vcols.reshape(b, heads, cfg.head_dim, kk * kk, n)
-        out = (wr * vn).sum(axis=3)                                  # [B,h,c,HW]
+        out = (w.reshape(b, heads, 1, kk * kk, n) * columns(v_map, heads)).sum(axis=3)  # [B,h,c,HW]
         record_macs(2 * b * d * kk * kk * n)
 
         def bwd(g):
             ge = g.reshape(b, heads, cfg.head_dim, 1, n)
             if v_map.requires_grad:
-                gv = (ge * wr).reshape(vcols.shape)
+                wr = _weights(s, lam, heads).reshape(b, heads, 1, kk * kk, n)
+                gv = (ge * wr).reshape(b, d, kk, kk, hh, ww)
                 v_map._accumulate(_col2im(gv, hh, ww, 1, pad), owned=True)
-            gw = (ge * vn).sum(axis=2)
+                del wr, gv
+            gw = (ge * columns(v_map, heads)).sum(axis=2)
             glogits, glam = _diff_weights_grad(gw, s, lam, heads)
             glogits *= scale
             gl = np.expand_dims(glogits, 2)
             if q.requires_grad:
-                q._accumulate((gl * kn).sum(axis=3).reshape(q.shape), owned=True)
+                q._accumulate((gl * columns(k_map, sub)).sum(axis=3).reshape(q.shape), owned=True)
             if k_map.requires_grad:
-                gk = (gl * qs).reshape(kcols.shape)
+                gk = (gl * qs).reshape(b, d, kk, kk, hh, ww)
                 k_map._accumulate(_col2im(gk, hh, ww, 1, pad), owned=True)
             if glam is not None:
                 lam._accumulate(glam, owned=True)

@@ -4,8 +4,11 @@ STN1 layout: magic b"STN1", u8 dtype tag (0=f32, 1=f64, 2=u8, 3=u16),
 u8 rank, rank x u64 little-endian extents, then the raw little-endian
 row-major payload.
 
-A checkpoint is a directory of STN1 files plus a plain-text manifest
-mapping parameter name -> filename -> shape, one entry per line.
+A checkpoint is a directory of two files. `params.stn1` is one rank-1
+STN1 file that holds every parameter's values back to back, in
+`named_parameters()` order, and `manifest.txt` names them: one
+`name<TAB>shape` line per parameter in the same order, so each
+parameter's slice of the payload follows from the shapes before it.
 """
 
 from __future__ import annotations
@@ -22,22 +25,27 @@ _DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
                  np.dtype(np.uint8): 2, np.dtype(np.uint16): 3}
 
 MANIFEST_NAME = "manifest.txt"
+PAYLOAD_NAME = "params.stn1"
+
+
+def _header(dtype, shape: tuple) -> tuple[bytes, np.dtype]:
+    """An STN1 header for `shape`, and the little-endian dtype its payload
+    is written in."""
+    tag = _DTYPE_TO_TAG.get(np.dtype(dtype).newbyteorder("="))
+    if tag is None:
+        raise ValueError(f"unsupported dtype {dtype} for STN1")
+    return MAGIC + struct.pack(f"<BB{len(shape)}Q", tag, len(shape), *shape), _TAG_TO_DTYPE[tag]
 
 
 def write_stn1(path, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr)
-    tag = _DTYPE_TO_TAG.get(arr.dtype.newbyteorder("="))
-    if tag is None:
-        raise ValueError(f"unsupported dtype {arr.dtype} for STN1")
+    header, dtype = _header(arr.dtype, arr.shape)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<BB", tag, arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes())
+        f.write(header)
+        f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).data)
 
 
-def read_stn1(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+def _parse_stn1(raw: bytes, path) -> np.ndarray:
+    """The array an STN1 file's bytes hold, as a read-only view of `raw`."""
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an STN1 file")
     if len(raw) < 6 or len(raw) < 6 + 8 * raw[5]:
@@ -52,53 +60,85 @@ def read_stn1(path) -> np.ndarray:
     if len(raw) != start + size:
         raise ValueError(f"{path}: payload is {len(raw) - start} bytes, shape {shape} "
                          f"needs {size}")
-    return np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape).copy()
+    return np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape)
+
+
+def read_stn1(path) -> np.ndarray:
+    return _parse_stn1(Path(path).read_bytes(), path).copy()
 
 
 def save_checkpoint(ckpt_dir, model):
+    """Write `model`'s parameters to `ckpt_dir` as `params.stn1` and
+    `manifest.txt`, tensor by tensor, with no copy of the whole model."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, (name, t) in enumerate(model.named_parameters()):
-        fname = f"param_{i:04d}.stn1"
-        write_stn1(ckpt_dir / fname, t.data)
-        shape = "x".join(str(s) for s in t.shape) if t.ndim else "scalar"
-        lines.append(f"{name}\t{fname}\t{shape}")
-    (ckpt_dir / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    params = list(model.named_parameters())
+    dtypes = sorted({t.dtype.name for _, t in params})
+    if len(dtypes) > 1:
+        raise ValueError(f"checkpoint parameters must share one dtype, got {', '.join(dtypes)}")
+    header, dtype = _header(params[0][1].dtype if params else np.float32,
+                            (sum(t.size for _, t in params),))
+    with open(ckpt_dir / PAYLOAD_NAME, "wb") as f:
+        f.write(header)
+        for _, t in params:   # from each tensor's own buffer when it is little-endian
+            f.write(np.ascontiguousarray(t.data, dtype=dtype).reshape(-1).data)
+    lines = [f"{name}\t{'x'.join(map(str, t.shape)) if t.ndim else 'scalar'}" for name, t in params]
+    (ckpt_dir / MANIFEST_NAME).write_text("".join(line + "\n" for line in lines))
+
+
+def _read_manifest(ckpt_dir: Path) -> dict[str, tuple]:
+    """Each parameter's shape by name, in payload order."""
+    manifest = ckpt_dir / MANIFEST_NAME
+    shapes = {}
+    for line in manifest.read_text().splitlines():
+        if not line.strip():
+            continue
+        name, shape = line.split("\t")
+        if name in shapes:
+            raise ValueError(f"{manifest}: duplicate entry '{name}'")
+        shapes[name] = () if shape == "scalar" else tuple(int(e) for e in shape.split("x"))
+    return shapes
+
+
+def _read_payload(ckpt_dir: Path, shapes: dict[str, tuple]) -> np.ndarray:
+    """The payload as one flat read-only array, as long as the manifest's
+    shapes add up to."""
+    payload = ckpt_dir / PAYLOAD_NAME
+    if not payload.is_file():
+        raise FileNotFoundError(f"{ckpt_dir}: no {PAYLOAD_NAME}, the file that holds a "
+                                f"checkpoint's parameter values")
+    flat = _parse_stn1(payload.read_bytes(), payload)
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if flat.shape != (total,):
+        raise ValueError(f"{payload}: holds {flat.size} values, the manifest lists {total}")
+    return flat
 
 
 def load_checkpoint(ckpt_dir, model):
     ckpt_dir = Path(ckpt_dir)
-    entries = {}
-    for line in (ckpt_dir / MANIFEST_NAME).read_text().splitlines():
-        if not line.strip():
-            continue
-        name, fname, _ = line.split("\t")
-        entries[name] = fname
+    shapes = _read_manifest(ckpt_dir)
     params = dict(model.named_parameters())
-    extra = [n for n in entries if n not in params]
+    extra = [n for n in shapes if n not in params]
     if extra:
         raise KeyError(f"checkpoint has entries the model lacks: {', '.join(extra)}")
     for name, t in params.items():
-        if name not in entries:
+        if name not in shapes:
             raise KeyError(f"checkpoint is missing parameter '{name}'")
-        arr = read_stn1(ckpt_dir / entries[name])
-        if arr.shape != t.shape:
-            raise ValueError(f"shape mismatch for '{name}': checkpoint {arr.shape} vs model {t.shape}")
+        if shapes[name] != t.shape:
+            raise ValueError(f"shape mismatch for '{name}': checkpoint {shapes[name]} "
+                             f"vs model {t.shape}")
+    flat, start = _read_payload(ckpt_dir, shapes), 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
         # in place: an optimizer may hold t.data as a view of its flat run
-        np.copyto(t.data, arr.astype(t.dtype, copy=False))
+        np.copyto(params[name].data, flat[start:stop].reshape(shape), casting="unsafe")
+        start = stop
 
 
 def checkpoint_scalar_count(ckpt_dir) -> int:
     """Total stored parameter scalars in a checkpoint directory."""
     ckpt_dir = Path(ckpt_dir)
-    total = 0
-    for line in (ckpt_dir / MANIFEST_NAME).read_text().splitlines():
-        if not line.strip():
-            continue
-        _, fname, _ = line.split("\t")
-        total += read_stn1(ckpt_dir / fname).size
-    return total
+    return _read_payload(ckpt_dir, _read_manifest(ckpt_dir)).size
 
 
 def write_pgm(path, mask: np.ndarray):

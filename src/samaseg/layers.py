@@ -9,8 +9,9 @@ through a [B,N,C] token layout.
 `Linear`, the two norms and `softmax` are one autodiff op each with a
 hand-written backward, so none leaves a chain of reshapes and elementwise
 nodes on the tape. LayerNorm (over axis 1) and GroupNorm (over each group
-of channels and positions) share one normalisation op, whose backward keeps
-only the normalised input and 1/sigma; softmax's keeps only its output.
+of channels and positions) share one normalisation op, whose node keeps
+only the mean and sigma of each group and rebuilds the normalised input in
+its backward; softmax's keeps only its output.
 
 Convolution arithmetic exists once, as three kernels over one checked
 plan: the forward W @ im2col(x) over channel-major [B,G,(C/G)*kh*kw,OH*OW]
@@ -408,9 +409,10 @@ class LayerNorm(Module):
 def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
                eps: float) -> Tensor:
     """x_hat * gamma + beta per channel (axis 1 of x), where x_hat is x
-    viewed as `view` minus its mean over `axis`, divided by
-    sigma = sqrt(var + eps). One op; the backward keeps only x_hat and
-    1/sigma:
+    viewed as `view` minus its mean mu over `axis`, divided by
+    sigma = sqrt(var + eps). One op; the tape keeps only mu and sigma, one
+    value each per normalised group, and the backward rebuilds x_hat as
+    (x - mu) / sigma, the forward's own two calls:
 
         g_x = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / sigma,
 
@@ -419,25 +421,25 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
     dtype = x.dtype.type
     xv = x.data.reshape(view)
     inv_n = dtype(1.0 / xv.shape[axis])
-    centered = xv - xv.sum(axis=axis, keepdims=True) * inv_n
+    mu = xv.sum(axis=axis, keepdims=True) * inv_n
+    centered = xv - mu
     sigma = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + dtype(eps))
     x_hat = (centered / sigma).reshape(x.shape)
-    inv_sigma = 1.0 / sigma
     shape = (1, -1) + (1,) * (x.ndim - 2)
     others = (0,) + tuple(range(2, x.ndim))
 
     def bwd(g):
+        xh = (x.data.reshape(view) - mu) / sigma
         if gamma.requires_grad:
-            gamma._accumulate((g * x_hat).sum(axis=others), owned=True)
+            gamma._accumulate((g * xh.reshape(x.shape)).sum(axis=others), owned=True)
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=others), owned=True)
         if x.requires_grad:
-            g_hat = (g * gamma.data.reshape(shape)).reshape(xv.shape)
-            xh = x_hat.reshape(xv.shape)
+            g_hat = (g * gamma.data.reshape(shape)).reshape(xh.shape)
             proj = (g_hat * xh).mean(axis=axis, keepdims=True)
             g_hat -= g_hat.mean(axis=axis, keepdims=True)
             g_hat -= xh * proj
-            g_hat *= inv_sigma
+            g_hat *= 1.0 / sigma
             x._accumulate(g_hat.reshape(x.shape), owned=True)
 
     out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)

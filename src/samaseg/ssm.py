@@ -20,19 +20,20 @@ A block builds the zero-order-hold terms dA_t = exp(delta_t A) and dBu_t =
 recurrence h_t = dA_t h_{t-1} + dBu_t reads and writes contiguous rows;
 the dBu buffer becomes h in place, starting from h of the last step of
 the block before. The block's readout y_t = h_t @ C_t is one batched
-matmul into y. The tape holds one node, which keeps its small time-major
-inputs and h of each block's last step, one [B*C*N] row per block, but
-no [L,B,C,N] array; under `no_grad()` only the carried row and y outlive a
-block.
+matmul into y. The tape holds one node, which keeps its parents and h of
+each block's last step, one [B*C*N] row per block, but no time-major copy
+and no [L,B,C,N] array; under `no_grad()` only the carried row and y
+outlive a block.
 
-Its backward walks the blocks in reverse. It rebuilds each block's dA and h
-from the h kept at the end of the block before, with the same float
-operations in the same order, so the states are those of the forward bit
-for bit; Mamba recomputes its states in the backward the same way (Gu &
-Dao 2023, section 3.3.2), the checkpoint-and-recompute trade of Chen et
-al. 2016. On a block it runs the adjoint recurrence (Mamba, section 3.3)
-over the rows in reverse, carrying gh and dA of the next block's first step
-across the block's end, with gh_t the adjoint of h_t and gy_t that of y_t:
+Its backward copies its inputs time-major again, then walks the blocks in
+reverse. It rebuilds each block's dA and h from the h kept at the end of
+the block before, with the same float operations in the same order, so
+the states are those of the forward bit for bit; Mamba recomputes its
+states in the backward the same way (Gu & Dao 2023, section 3.3.2), the
+checkpoint-and-recompute trade of Chen et al. 2016. On a block it runs
+the adjoint recurrence (Mamba, section 3.3) over the rows in reverse,
+carrying gh and dA of the next block's first step across the block's
+end, with gh_t the adjoint of h_t and gy_t that of y_t:
 
     gh_t    = gy_t C_t + dA_{t+1} gh_{t+1}         (no second term at t = L-1)
     gz_t    = gh_t h_{t-1} dA_t                    (adjoint of delta_t A; 0 at t = 0)
@@ -141,15 +142,19 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
     [C] or [N] vectors, one value for every batch entry and step. It runs
     over time blocks of at most `SCAN_BUDGET` state elements, carrying h
     from each block into the next; the node keeps h of each block's last
-    step, and the backward, the adjoint in the module docstring, rebuilds
-    each block from the one before."""
+    step, and the backward, the adjoint in the module docstring, copies
+    the inputs time-major again and rebuilds each block from the one
+    before."""
     b, l, c = x.shape
     n = a.shape[1]
     record_macs(3 * b * l * c * n)
-    # time-major with (t, b) flattened to one row index i = t*B + b
-    dt, xt, bt, ct = (_swap_bl(np.broadcast_to(v.data, (b, l, v.shape[-1]))).reshape(l * b, -1)
-                      for v in (delta, x, bm, cm))
-    dtx = dt * xt                                            # [LB,C]
+
+    def time_major():   # delta, x, B, C and delta x as [L*B,.] rows, i = t*B + b
+        dt, xt, bt, ct = (_swap_bl(np.broadcast_to(v.data, (b, l, v.shape[-1]))).reshape(l * b, -1)
+                          for v in (delta, x, bm, cm))
+        return dt, xt, bt, ct, dt * xt
+
+    dt, xt, bt, ct, dtx = time_major()
     dtype = np.result_type(dtx, bt, ct, a.data)
     span = max(1, SCAN_BUDGET // (b * c * n))                # steps per block
     blocks = [(s, min(s + span, l)) for s in range(0, l, span)]
@@ -169,6 +174,7 @@ def selective_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Tensor) 
         t._accumulate(_unbroadcast(_swap_bl(rows.reshape(l, b, -1)), t.shape), owned=True)
 
     def bwd(g):
+        dt, xt, bt, ct, dtx = time_major()
         gy = _swap_bl(g).reshape(l * b, c)
         gdtx = np.empty((l * b, c, 1), dtype=dtype)
         gc = np.empty((l * b, 1, n), dtype=dtype) if cm.requires_grad else None

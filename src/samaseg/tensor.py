@@ -3,7 +3,10 @@
 Data lives in contiguous row-major numpy arrays (float32 by default,
 float64 for gradient checking). The tape is implicit: every op attaches a
 backward closure and its parent tensors, and ``backward`` replays them in
-reverse topological order. Gradients accumulate additively, so a value
+reverse topological order, releasing each node as it passes. A closure
+keeps its parents and small statistics; larger arrays that its inputs
+determine are recomputed in the backward by the same numpy calls, so
+they carry the same bits. Gradients accumulate additively, so a value
 used k times receives the sum of k adjoint contributions. Inside
 ``no_grad()`` no tape is recorded at all.
 """
@@ -136,6 +139,13 @@ class Tensor:
         Without a seed the tensor must be scalar; a seed must have the
         tensor's shape. Calling backward twice on the same result is an error
         (double-backward is unsupported).
+
+        Leaves (tensors with no backward closure) keep their gradients.
+        Every other node on the tape, this tensor included, drops its
+        gradient, its closure and its parents as soon as its closure has
+        run, and the sweep holds no node it has passed, so an array the rest
+        of the backward no longer reads is freed mid-sweep. After backward
+        no non-leaf tensor has a gradient.
         """
         if not self.requires_grad:
             raise RuntimeError("backward on a tensor detached from any tape")
@@ -168,12 +178,12 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = seed.astype(self.data.dtype, copy=True)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # release graph references as we go
-                node._backward = None
-                node._prev = ()
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._prev = None, None, ()
 
     # -- elementwise arithmetic --------------------------------------------
 
@@ -292,11 +302,13 @@ class Tensor:
         return Tensor._op(s, (a,), bwd)
 
     def silu(self):
-        """x * sigmoid(x) as one op; the backward is g * s * (1 + x * (1 - s))."""
+        """x * sigmoid(x) as one op; the backward is g * s * (1 + x * (1 - s)),
+        with s recomputed from x rather than kept on the tape."""
         a = self
         s = _sigmoid(a.data)
 
         def bwd(g):
+            s = _sigmoid(a.data)
             a._accumulate(g * s * (1.0 + a.data * (1.0 - s)), owned=True)
 
         return Tensor._op(a.data * s, (a,), bwd)

@@ -3,13 +3,15 @@ used as independent oracles."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from samaseg.layers import _col2im, _im2col
 from samaseg.ssm import _swap_bl
 from samaseg.profiler import record_macs
-from samaseg.tensor import Tensor, _unbroadcast
+from samaseg.tensor import Tensor, _sigmoid, _unbroadcast
 
 
 @pytest.fixture
@@ -145,6 +147,65 @@ def whole_map_conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             x._accumulate(np.matmul(wt.T, gcols).reshape(x.shape), owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
+
+
+def stored_silu(x: Tensor) -> Tensor:
+    """SiLU as one op whose node keeps sigmoid(x) for its backward.
+    `Tensor.silu`, which recomputes it there, must give its output and
+    gradient byte for byte."""
+    s = _sigmoid(x.data)
+
+    def bwd(g):
+        x._accumulate(g * s * (1.0 + x.data * (1.0 - s)), owned=True)
+
+    return Tensor._op(x.data * s, (x,), bwd)
+
+
+def stored_normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
+                     eps: float) -> Tensor:
+    """The normalisation op with x_hat and 1/sigma kept on its node.
+    `layers._normalize`, which keeps only the mean and sigma and rebuilds
+    x_hat in its backward, must give its output and gradients byte for
+    byte."""
+    dtype = x.dtype.type
+    xv = x.data.reshape(view)
+    inv_n = dtype(1.0 / xv.shape[axis])
+    centered = xv - xv.sum(axis=axis, keepdims=True) * inv_n
+    sigma = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + dtype(eps))
+    x_hat = (centered / sigma).reshape(x.shape)
+    inv_sigma = 1.0 / sigma
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    others = (0,) + tuple(range(2, x.ndim))
+
+    def bwd(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * x_hat).sum(axis=others), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=others), owned=True)
+        if x.requires_grad:
+            g_hat = (g * gamma.data.reshape(shape)).reshape(xv.shape)
+            xh = x_hat.reshape(xv.shape)
+            proj = (g_hat * xh).mean(axis=axis, keepdims=True)
+            g_hat -= g_hat.mean(axis=axis, keepdims=True)
+            g_hat -= xh * proj
+            g_hat *= inv_sigma
+            x._accumulate(g_hat.reshape(x.shape), owned=True)
+
+    out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    return Tensor._op(out, (x, gamma, beta), bwd)
+
+
+def kept_kib(fn) -> float:
+    """KiB that stay allocated once fn() returns, beyond the data of the
+    tensor it returns: for one op, what its tape node keeps for the
+    backward."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return (tracemalloc.get_traced_memory()[0] - base - out.data.nbytes) / 2**10
+    finally:
+        tracemalloc.stop()
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

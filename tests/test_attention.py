@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import contract, naive_conv2d, naive_softmax, unfold
+from conftest import contract, kept_kib, naive_conv2d, naive_softmax, unfold
 from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _attend_tokens,
                                _diff_weights, _mask_bias, _neighborhood_mask, diff_softmax)
 from samaseg.layers import adaptive_avg_pool2d, softmax
@@ -445,6 +445,48 @@ class TestCoreGraphAndMacs:
                        for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6), (2,))))
         assert [c for c in calls if not c.startswith("Tensor.")] \
             == ["_attend_tokens.<locals>.bwd"]
+
+
+class TestCoreTape:
+    """What each core's node keeps for its backward: the key softmax s, and
+    for the token core its contiguous pooled keys, but no im2col columns
+    and no differential weights, which the backward rebuilds (the bytewise
+    cases of `TestFusedCores` check that the rebuild gives the same
+    values and gradients)."""
+
+    @staticmethod
+    def _maps(dtype, shape=(1, 16, 32, 32)):
+        rng = np.random.default_rng(1)
+        return [Tensor(rng.uniform(-1, 1, size=shape).astype(dtype), requires_grad=True)
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [3, 5], ids=["window3", "window5"])
+    @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
+    def test_local_node_keeps_only_the_softmax(self, use_differential, size, dtype):
+        # with the key and value columns and the weights kept, a [1,16,32,32]
+        # float32 map's node held 1624 / 4503 KiB (differential, windows 3 /
+        # 5) and 1298 / 3602 KiB (plain)
+        cfg = AttnConfig(channels=16, heads=4, local_window=size,
+                         use_differential=use_differential)
+        attn = DiffAggAttention(cfg, "local", np.random.default_rng(0), dtype=dtype)
+        q, k_map, v_map = self._maps(dtype)
+        attn._local_attend(q, k_map, v_map)    # builds the cached mask bias outside the count
+        s_kib = attn.sub_heads * size * size * 32 * 32 * np.dtype(dtype).itemsize / 2**10
+        assert kept_kib(lambda: attn._local_attend(q, k_map, v_map)) <= s_kib + 8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_token_node_keeps_no_differential_weights(self, dtype):
+        # 7x7 pooled tokens for a [1,16,32,32] query map, 4 heads: the node
+        # held 2357 KiB at float32 with the [1,4,49,1024] weights kept
+        cfg = AttnConfig(channels=16, heads=4, global_pool=7)
+        attn = DiffAggAttention(cfg, "global", np.random.default_rng(0), dtype=dtype)
+        q, _, _ = self._maps(dtype)
+        pk, pv = self._maps(dtype, (1, 16, 7, 7))[:2]
+        item = np.dtype(dtype).itemsize
+        s_kib, kt_kib = 8 * 49 * 32 * 32 * item / 2**10, 16 * 49 * item / 2**10
+        kept = kept_kib(lambda: _attend_tokens(q, pk, pv, attn.lam, attn.sub_heads, 4))
+        assert kept <= s_kib + kt_kib + 8
 
 
 SCALING_SCRIPT = """

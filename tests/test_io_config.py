@@ -130,9 +130,71 @@ class TestCheckpoints:
     def test_shape_mismatch_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)
         save_checkpoint(tmp_path / "ck", model)
-        write_stn1(tmp_path / "ck" / "param_0000.stn1", np.zeros((9, 9), np.float32))
-        with pytest.raises(ValueError):
+        manifest = tmp_path / "ck" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        assert lines[0] == "a.weight\t4x3"
+        manifest.write_text("\n".join(["a.weight\t9x9"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="shape mismatch for 'a.weight'"):
             load_checkpoint(tmp_path / "ck", model)
+
+    def test_layout_is_one_payload_in_parameter_order(self, rng, tmp_path):
+        model = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", model)
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.txt",
+                                                                        "params.stn1"]
+        assert (tmp_path / "ck" / "manifest.txt").read_text() == \
+            "a.weight\t4x3\na.bias\t4\nb.weight\t2x4\nb.bias\t2\n"
+        payload = read_stn1(tmp_path / "ck" / "params.stn1")
+        assert payload.dtype == np.float32 and payload.shape == (model.num_params(),)
+        expected = np.concatenate([t.data.ravel() for _, t in model.named_parameters()])
+        assert payload.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_round_trip_is_bit_exact(self, tmp_path, dtype):
+        cfg = ModelConfig(base_channels=4, stage_depths=[1, 1], channel_mults=[1, 2], heads=1,
+                          global_pool=2)
+        saved = SamaUNet(cfg, np.random.default_rng(0), dtype=dtype)
+        save_checkpoint(tmp_path / "ck", saved)
+        model = SamaUNet(cfg, np.random.default_rng(1), dtype=dtype)
+        load_checkpoint(tmp_path / "ck", model)
+        for (n, t), (_, s) in zip(model.named_parameters(), saved.named_parameters(), strict=True):
+            assert t.dtype == dtype and t.data.tobytes() == s.data.tobytes(), n
+        assert checkpoint_scalar_count(tmp_path / "ck") == model.num_params()
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_payload_of_another_length_rejected(self, rng, tmp_path, change):
+        model = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", model)
+        payload = tmp_path / "ck" / "params.stn1"
+        write_stn1(payload, np.zeros(model.num_params() + change, np.float32))
+        for read in (lambda: load_checkpoint(tmp_path / "ck", model),
+                     lambda: checkpoint_scalar_count(tmp_path / "ck")):
+            with pytest.raises(ValueError, match=f"holds {model.num_params() + change} values, "
+                                                 f"the manifest lists {model.num_params()}"):
+                read()
+
+    def test_duplicate_name_rejected(self, rng, tmp_path):
+        model = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", model)
+        manifest = tmp_path / "ck" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + lines[-1:]) + "\n")
+        with pytest.raises(ValueError, match="duplicate entry 'b.bias'"):
+            load_checkpoint(tmp_path / "ck", model)
+
+    def test_directory_without_payload_rejected(self, rng, tmp_path):
+        # such as a checkpoint written as one STN1 file per parameter
+        model = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", model)
+        (tmp_path / "ck" / "params.stn1").rename(tmp_path / "ck" / "param_0000.stn1")
+        with pytest.raises(FileNotFoundError, match="no params.stn1"):
+            load_checkpoint(tmp_path / "ck", model)
+
+    def test_parameters_of_two_dtypes_rejected(self, rng, tmp_path):
+        model = _TwoLayer(rng)
+        model.b.bias = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ValueError, match="share one dtype, got float32, float64"):
+            save_checkpoint(tmp_path / "ck", model)
 
 
 class TestPgm:

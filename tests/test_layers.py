@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import (naive_conv2d, naive_conv_transpose2d, naive_softmax, randt, unfold,
-                      whole_map_conv_transpose2d)
+from conftest import (kept_kib, naive_conv2d, naive_conv_transpose2d, naive_softmax, randt,
+                      stored_normalize, unfold, whole_map_conv_transpose2d)
 from samaseg import layers
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
@@ -608,6 +608,44 @@ class TestNorms:
         x = randt(rng, shape, lo=-2, hi=3)
         assert_same_op(lambda _: ln(x), lambda _: composite_norm(x, shape, 1, *params),
                        [x] + params)
+
+    @staticmethod
+    def _norm_and_view(kind, dtype, shape):
+        if kind == "group":
+            return GroupNorm(shape[1], num_groups=4, dtype=dtype), (shape[0], 4, -1), 2
+        return LayerNorm(shape[1], dtype=dtype), shape, 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 8, 5, 7), (2, 8, 9)], ids=["BCHW", "BCN"])
+    @pytest.mark.parametrize("kind", ["group", "layer"])
+    def test_matches_the_stored_x_hat_op_bytewise(self, rng, kind, shape, dtype):
+        norm, view, axis = self._norm_and_view(kind, dtype, shape)
+        self._affine(rng, norm)
+        for p in (norm.gamma, norm.beta):
+            p.data = p.data.astype(dtype)
+        data = rng.uniform(-2, 3, size=shape).astype(dtype)
+        seed = rng.standard_normal(shape).astype(dtype)
+        runs = []
+        for op in (norm, lambda t: stored_normalize(t, view, axis, norm.gamma, norm.beta, 1e-5)):
+            x = Tensor(data, requires_grad=True)
+            y = op(x)
+            y.backward(seed)
+            runs.append([y.data, x.grad, norm.gamma.grad, norm.beta.grad])
+            norm.zero_grad()
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["group", "layer"])
+    def test_node_keeps_only_the_statistics(self, rng, kind, dtype):
+        # a [1,32,64,64] map; the node kept x_hat, as large as the map, when
+        # the backward read it: 514 KiB (GroupNorm) and 529 KiB (LayerNorm)
+        # at float32. LayerNorm's mean and sigma are one value per pixel each
+        shape = (1, 32, 64, 64)
+        norm, view, _ = self._norm_and_view(kind, dtype, shape)
+        x = Tensor(rng.uniform(-1, 1, size=shape).astype(dtype), requires_grad=True)
+        stats = 2 * (shape[2] * shape[3] if kind == "layer" else 4) * np.dtype(dtype).itemsize
+        assert kept_kib(lambda: norm(x)) <= stats / 2**10 + 4
 
     def test_layernorm_statistics(self, rng):
         ln = LayerNorm(5, dtype=np.float64)

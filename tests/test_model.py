@@ -380,6 +380,42 @@ class TestTapeMemory:
         assert retained <= 55, f"{retained:.1f} MiB"
 
 
+    def test_desk_forward_and_loss_at_128px_retain_at_most_32_mib(self):
+        # The same forward plus seg_loss. With the nodes keeping im2col key
+        # and value columns, differential weights, sigmoids, normalised
+        # inputs and the scans' time-major copies, this read 39.9 MiB
+        model = SamaUNet(ModelConfig(), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        img = rng.uniform(-1, 1, size=(1, 1, 128, 128)).astype(np.float32)
+        mask = rng.integers(0, model.cfg.num_classes, size=(1, 128, 128))
+        predict(model, img)      # fills the per-shape caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = seg_loss(model(Tensor(img)), mask, model.cfg.num_classes)
+            retained = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert retained <= 32, f"{retained:.1f} MiB"
+
+    def test_desk64_backward_peaks_at_most_10_mib_above_its_start(self):
+        # One desk-default backward at 64 px, batch 2, its parameter
+        # gradients included. The sweep frees each node's gradient and
+        # releases the node once its closure has run; with every node and
+        # gradient held until the sweep ended this read 18.3 MiB
+        model = SamaUNet(ModelConfig(), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        img = rng.uniform(-1, 1, size=(2, 1, 64, 64)).astype(np.float32)
+        mask = rng.integers(0, model.cfg.num_classes, size=(2, 64, 64))
+        for _ in range(2):       # the first step fills the per-shape caches
+            model.zero_grad()
+            loss = seg_loss(model(Tensor(img)), mask, model.cfg.num_classes)
+            peak = traced_peak_mib(loss.backward)
+        assert all(t.grad is not None for t in model.parameters())
+        assert peak <= 10, f"{peak:.1f} MiB"
+
+
 def traced_peak_mib(fn) -> float:
     """tracemalloc's peak, in MiB above what was allocated before, while
     fn() runs."""

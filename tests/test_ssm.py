@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import samaseg
-from conftest import randt, whole_sequence_scan
+from conftest import kept_kib, randt, whole_sequence_scan
 from samaseg.gradcheck import grad_check
 from samaseg.ssm import SCAN_BUDGET, SelectiveSsm, selective_scan
 from samaseg.tensor import Tensor, concat, no_grad
@@ -291,6 +291,20 @@ class TestTimeBlocks:
             tracemalloc.stop()
         assert y.requires_grad
         assert retained <= 2, f"{retained:.1f} MiB"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("static", [False, True], ids=["selective", "static"])
+    def test_node_keeps_no_time_major_copy(self, rng, static, dtype):
+        # [4,1024,16] and N = 8 in 8 blocks: beyond y the node keeps h at
+        # each block's end and a one-row scratch buffer. With its
+        # time-major delta, x, B, C and delta x kept it held 1046 KiB at
+        # float32
+        b, l, c, n = 4, 1024, 16, 8
+        inputs = [Tensor(v, requires_grad=True)
+                  for v in scan_inputs(rng, b, l, c, n, static, dtype)]
+        rows = -(-l // (SCAN_BUDGET // (b * c * n))) + 1
+        row_kib = b * c * n * np.dtype(dtype).itemsize / 2**10
+        assert kept_kib(lambda: selective_scan(*inputs)) <= rows * row_kib + 4
 
     def test_no_grad_forward_at_4096_steps_peaks_at_most_10_mib(self, rng):
         # [4,4096,16] and N = 8, the finest scale at 256 px: its exp(delta A)

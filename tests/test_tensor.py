@@ -1,6 +1,7 @@
 """Autodiff tensor core: forward values against numpy, gradients against
 central differences and hand-derived expressions, graph bookkeeping rules."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from conftest import contract, naive_matmul, randt
+from conftest import contract, kept_kib, naive_matmul, randt, stored_silu
 from samaseg.gradcheck import grad_check
 from samaseg.layers import Linear
 from samaseg.profiler import count_macs
@@ -172,19 +173,40 @@ class TestBackwardHandDerived:
 class TestGradientOwnership:
     """A closure may hand its gradient over without a copy only when it made
     that array itself; a view of the upstream gradient must be copied, or a
-    later contribution adds into the upstream node's gradient in place."""
+    later contribution adds into the upstream node's gradient in place.
+
+    The sweep drops every non-leaf gradient, so the check does not read
+    them: it wraps each closure on the tape to keep the gradient it is
+    handed and a copy made at that moment, and after the sweep every
+    handed gradient must still equal its copy."""
 
     @staticmethod
     def _backward(y, rng):
+        handed = []
+        seen, stack = set(), [y]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._backward is not None:
+                def watched(g, closure=node._backward):
+                    handed.append((g, g.copy()))
+                    closure(g)
+                node._backward = watched
+            stack.extend(node._prev)
         seed = rng.uniform(-1, 1, size=y.shape)
         y.backward(seed)
-        return seed
+        assert handed and y.grad is None
+        for g, at_hand_over in handed:
+            np.testing.assert_array_equal(g, at_hand_over)
+        return seed, [g for g, _ in handed]
 
     def test_reused_input(self, rng):
         x = randt(rng, (3, 4))
         y = x + x
-        seed = self._backward(y, rng)
-        np.testing.assert_array_equal(y.grad, seed)
+        seed, handed = self._backward(y, rng)
+        np.testing.assert_array_equal(handed, [seed])
         np.testing.assert_array_equal(x.grad, 2 * seed)
 
     def test_reshape_chain(self, rng):
@@ -192,9 +214,12 @@ class TestGradientOwnership:
         a = x.reshape(12).reshape(2, 6)
         b = x.reshape(2, 6)
         y = a + b
-        seed = self._backward(y, rng)
+        seed, handed = self._backward(y, rng)
+        assert len(handed) == 4           # y, a, a's inner reshape and b
+        for g in handed:
+            np.testing.assert_array_equal(g.reshape(seed.shape), seed)
         for node in (y, a, b):
-            np.testing.assert_array_equal(node.grad, seed)
+            assert node.grad is None
         np.testing.assert_array_equal(x.grad, 2 * seed.reshape(3, 4))
 
     def test_broadcast_add(self, rng):
@@ -202,9 +227,10 @@ class TestGradientOwnership:
         bias = randt(rng, (4,))
         a = x + bias
         y = a + x
-        seed = self._backward(y, rng)
+        seed, handed = self._backward(y, rng)
+        np.testing.assert_array_equal(handed, [seed, seed])
         for node in (y, a):
-            np.testing.assert_array_equal(node.grad, seed)
+            assert node.grad is None
         np.testing.assert_array_equal(x.grad, 2 * seed)
         np.testing.assert_allclose(bias.grad, seed.sum(axis=0), rtol=1e-15)
 
@@ -309,6 +335,60 @@ class TestGraphContract:
         x = randt(rng, (3,))
         (x.detach() * x).sum().backward()
         np.testing.assert_allclose(x.grad, x.data)  # only the live branch contributes
+
+    def test_sweep_releases_every_non_leaf_and_keeps_leaf_gradients(self, rng):
+        x, w = randt(rng, (3, 4)), randt(rng, (4,))
+        frozen = Tensor(np.ones(4))
+        a = x * w + frozen
+        b = a.exp()
+        y = (b * a).sum()
+        y.backward()
+        for node in (a, b, y):
+            assert node.grad is None and node._backward is None and node._prev == ()
+        assert frozen.grad is None
+        e = np.exp(x.data * w.data + 1.0)
+        np.testing.assert_allclose(x.grad, w.data * e * (x.data * w.data + 2.0), rtol=1e-12)
+        np.testing.assert_allclose(w.grad, (x.data * e * (x.data * w.data + 2.0)).sum(axis=0),
+                                   rtol=1e-12)
+
+    def test_sweep_frees_each_node_once_its_consumers_ran(self, rng):
+        # a chain of eight 1 MiB maps: with every node and gradient held
+        # until the sweep ended the backward peaked at 9.0 MiB above its
+        # start; released as the sweep passes them, at 2.0 MiB
+        x = Tensor(rng.uniform(-1, 1, size=(1 << 17,)), requires_grad=True)
+        y = x
+        for _ in range(8):
+            y = y * 1.5
+        y = y.sum()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y.backward()
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5, f"{peak:.1f} MiB"
+
+
+class TestSiluTape:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_stored_sigmoid_op_bytewise(self, rng, dtype):
+        data = rng.uniform(-12, 12, size=(2, 3, 5, 7)).astype(dtype)
+        seed = rng.standard_normal(data.shape).astype(dtype)
+        runs = []
+        for silu in (Tensor.silu, stored_silu):
+            x = Tensor(data, requires_grad=True)
+            y = silu(x)
+            y.backward(seed)
+            runs.append((y.data, x.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_keeps_no_sigmoid(self, rng, dtype):
+        # the node kept a 512 KiB sigmoid at float32 when the backward read it
+        x = Tensor(rng.uniform(-1, 1, size=(1, 32, 64, 64)).astype(dtype), requires_grad=True)
+        assert kept_kib(x.silu) <= 4
 
 
 class TestNoGrad:
