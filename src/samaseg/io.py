@@ -14,6 +14,7 @@ parameter's slice of the payload follows from the shapes before it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -44,8 +45,9 @@ def write_stn1(path, arr: np.ndarray):
         f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).data)
 
 
-def _parse_stn1(raw: bytes, path) -> np.ndarray:
-    """The array an STN1 file's bytes hold, as a read-only view of `raw`."""
+def _stn1_header(raw: bytes, path, file_size: int) -> tuple[np.dtype, tuple, int]:
+    """dtype, shape and payload offset of the STN1 header at the start of
+    `raw`, checked against the `file_size` bytes of the whole file."""
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an STN1 file")
     if len(raw) < 6 or len(raw) < 6 + 8 * raw[5]:
@@ -57,9 +59,15 @@ def _parse_stn1(raw: bytes, path) -> np.ndarray:
     shape = struct.unpack_from(f"<{rank}Q", raw, 6)
     dtype = _TAG_TO_DTYPE[tag]
     size = math.prod(shape) * dtype.itemsize
-    if len(raw) != start + size:
-        raise ValueError(f"{path}: payload is {len(raw) - start} bytes, shape {shape} "
+    if file_size != start + size:
+        raise ValueError(f"{path}: payload is {file_size - start} bytes, shape {shape} "
                          f"needs {size}")
+    return dtype, shape, start
+
+
+def _parse_stn1(raw: bytes, path) -> np.ndarray:
+    """The array an STN1 file's bytes hold, as a read-only view of `raw`."""
+    dtype, shape, start = _stn1_header(raw, path, len(raw))
     return np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape)
 
 
@@ -86,36 +94,56 @@ def save_checkpoint(ckpt_dir, model):
     (ckpt_dir / MANIFEST_NAME).write_text("".join(line + "\n" for line in lines))
 
 
+def _payload_path(ckpt_dir: Path) -> Path:
+    """`params.stn1` of a checkpoint directory, which must exist; looked for
+    before the manifest is read, so a directory in another layout, such as
+    one STN1 file per parameter, is named as such."""
+    payload = ckpt_dir / PAYLOAD_NAME
+    if not payload.is_file():
+        raise FileNotFoundError(f"{ckpt_dir}: no {PAYLOAD_NAME}, the file that holds a "
+                                f"checkpoint's parameter values (a checkpoint of one "
+                                f"STN1 file per parameter must be saved again)")
+    return payload
+
+
 def _read_manifest(ckpt_dir: Path) -> dict[str, tuple]:
     """Each parameter's shape by name, in payload order."""
     manifest = ckpt_dir / MANIFEST_NAME
     shapes = {}
-    for line in manifest.read_text().splitlines():
+    for i, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        name, shape = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"{manifest}: line {i} has {len(fields)} tab-separated fields, "
+                             f"not the two of 'name<TAB>shape'")
+        name, shape = fields
         if name in shapes:
             raise ValueError(f"{manifest}: duplicate entry '{name}'")
         shapes[name] = () if shape == "scalar" else tuple(int(e) for e in shape.split("x"))
     return shapes
 
 
-def _read_payload(ckpt_dir: Path, shapes: dict[str, tuple]) -> np.ndarray:
-    """The payload as one flat read-only array, as long as the manifest's
-    shapes add up to."""
-    payload = ckpt_dir / PAYLOAD_NAME
-    if not payload.is_file():
-        raise FileNotFoundError(f"{ckpt_dir}: no {PAYLOAD_NAME}, the file that holds a "
-                                f"checkpoint's parameter values")
-    flat = _parse_stn1(payload.read_bytes(), payload)
-    total = sum(math.prod(shape) for shape in shapes.values())
-    if flat.shape != (total,):
-        raise ValueError(f"{payload}: holds {flat.size} values, the manifest lists {total}")
-    return flat
+def _open_payload(f, payload: Path, shapes: dict[str, tuple]) -> np.dtype:
+    """Reads the header of the payload open as `f`, leaving `f` at the
+    first value, and returns the values' dtype once the header shows one
+    flat array as long as the manifest's shapes add up to."""
+    head = f.read(6)
+    head += f.read(8 * head[5]) if len(head) == 6 else b""
+    dtype, shape, _ = _stn1_header(head, payload, os.fstat(f.fileno()).st_size)
+    total = sum(math.prod(s) for s in shapes.values())
+    if shape != (total,):
+        raise ValueError(f"{payload}: holds {math.prod(shape)} values, the manifest lists {total}")
+    return dtype
 
 
 def load_checkpoint(ckpt_dir, model):
+    """Read a checkpoint into `model`'s parameters in place. Each value is
+    read from the payload straight into its parameter's buffer (through a
+    one-tensor buffer when the dtypes differ), so no copy of the whole
+    payload is made; nothing is written before every check has passed."""
     ckpt_dir = Path(ckpt_dir)
+    payload = _payload_path(ckpt_dir)
     shapes = _read_manifest(ckpt_dir)
     params = dict(model.named_parameters())
     extra = [n for n in shapes if n not in params]
@@ -127,18 +155,26 @@ def load_checkpoint(ckpt_dir, model):
         if shapes[name] != t.shape:
             raise ValueError(f"shape mismatch for '{name}': checkpoint {shapes[name]} "
                              f"vs model {t.shape}")
-    flat, start = _read_payload(ckpt_dir, shapes), 0
-    for name, shape in shapes.items():
-        stop = start + math.prod(shape)
-        # in place: an optimizer may hold t.data as a view of its flat run
-        np.copyto(params[name].data, flat[start:stop].reshape(shape), casting="unsafe")
-        start = stop
+    with open(payload, "rb") as f:
+        dtype = _open_payload(f, payload, shapes)
+        for name, shape in shapes.items():
+            # in place: an optimizer may hold t.data as a view of its flat run
+            t = params[name]
+            direct = t.data.dtype == dtype and t.data.flags.c_contiguous
+            dst = t.data if direct else np.empty(shape, dtype=dtype)
+            f.readinto(dst.reshape(-1).view(np.uint8))
+            if not direct:
+                np.copyto(t.data, dst, casting="unsafe")
 
 
 def checkpoint_scalar_count(ckpt_dir) -> int:
     """Total stored parameter scalars in a checkpoint directory."""
     ckpt_dir = Path(ckpt_dir)
-    return _read_payload(ckpt_dir, _read_manifest(ckpt_dir)).size
+    payload = _payload_path(ckpt_dir)
+    shapes = _read_manifest(ckpt_dir)
+    with open(payload, "rb") as f:
+        _open_payload(f, payload, shapes)
+    return sum(math.prod(s) for s in shapes.values())
 
 
 def write_pgm(path, mask: np.ndarray):

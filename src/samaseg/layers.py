@@ -424,12 +424,13 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
     mu = xv.sum(axis=axis, keepdims=True) * inv_n
     centered = xv - mu
     sigma = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + dtype(eps))
-    x_hat = (centered / sigma).reshape(x.shape)
+    centered /= sigma
     shape = (1, -1) + (1,) * (x.ndim - 2)
     others = (0,) + tuple(range(2, x.ndim))
 
     def bwd(g):
-        xh = (x.data.reshape(view) - mu) / sigma
+        xh = x.data.reshape(view) - mu
+        xh /= sigma
         if gamma.requires_grad:
             gamma._accumulate((g * xh.reshape(x.shape)).sum(axis=others), owned=True)
         if beta.requires_grad:
@@ -438,11 +439,14 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
             g_hat = (g * gamma.data.reshape(shape)).reshape(xh.shape)
             proj = (g_hat * xh).mean(axis=axis, keepdims=True)
             g_hat -= g_hat.mean(axis=axis, keepdims=True)
-            g_hat -= xh * proj
+            xh *= proj
+            g_hat -= xh
             g_hat *= 1.0 / sigma
             x._accumulate(g_hat.reshape(x.shape), owned=True)
 
-    out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    out = centered.reshape(x.shape)   # x_hat, then x_hat * gamma + beta in place
+    out *= gamma.data.reshape(shape)
+    out += beta.data.reshape(shape)
     return Tensor._op(out, (x, gamma, beta), bwd)
 
 

@@ -45,7 +45,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)); exp overflows to inf for x < -88 (float32), which
     gives the correct limit 0, so the overflow warning is silenced."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(np.negative(x))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -305,13 +307,19 @@ class Tensor:
         """x * sigmoid(x) as one op; the backward is g * s * (1 + x * (1 - s)),
         with s recomputed from x rather than kept on the tape."""
         a = self
-        s = _sigmoid(a.data)
 
         def bwd(g):
             s = _sigmoid(a.data)
-            a._accumulate(g * s * (1.0 + a.data * (1.0 - s)), owned=True)
+            gs = g * s
+            np.subtract(1.0, s, out=s)
+            s *= a.data
+            s += 1.0
+            gs *= s
+            a._accumulate(gs, owned=True)
 
-        return Tensor._op(a.data * s, (a,), bwd)
+        y = _sigmoid(a.data)
+        y *= a.data
+        return Tensor._op(y, (a,), bwd)
 
     def softplus(self):
         a = self

@@ -1,5 +1,7 @@
 """Binary tensor files, checkpoint directories, and config parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,49 @@ class TestCheckpoints:
                                                  f"the manifest lists {model.num_params()}"):
                 read()
 
+    def test_truncated_payload_rejected_before_any_write(self, rng, tmp_path):
+        model = _TwoLayer(rng)
+        save_checkpoint(tmp_path / "ck", model)
+        payload = tmp_path / "ck" / "params.stn1"
+        payload.write_bytes(payload.read_bytes()[:-4])
+        before = {n: t.data.copy() for n, t in model.named_parameters()}
+        for _, t in model.named_parameters():
+            t.data += 1.0
+        expected = {n: t.data.copy() for n, t in model.named_parameters()}
+        with pytest.raises(ValueError, match="payload is .* bytes, shape"):
+            load_checkpoint(tmp_path / "ck", model)
+        for n, t in model.named_parameters():
+            assert t.data.tobytes() == expected[n].tobytes() != before[n].tobytes(), n
+
+    def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
+        cfg = ModelConfig(base_channels=4, stage_depths=[1, 1], channel_mults=[1, 2], heads=1,
+                          global_pool=2)
+        saved = SamaUNet(cfg, np.random.default_rng(0), dtype=np.float64)
+        save_checkpoint(tmp_path / "ck", saved)
+        model = SamaUNet(cfg, np.random.default_rng(1), dtype=np.float32)
+        load_checkpoint(tmp_path / "ck", model)
+        for (n, t), (_, s) in zip(model.named_parameters(), saved.named_parameters(), strict=True):
+            assert t.dtype == np.float32, n
+            assert t.data.tobytes() == s.data.astype(np.float32).tobytes(), n
+
+    def test_load_holds_no_copy_of_the_payload(self, tmp_path):
+        # a 1 MiB payload: reading each value into its parameter's own
+        # buffer peaks at a few KiB; reading the payload whole held it all
+        class Wide(Module):
+            def __init__(self, rng):
+                self.a = Linear(512, 512, rng)
+
+        save_checkpoint(tmp_path / "ck", Wide(np.random.default_rng(0)))
+        model = Wide(np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            load_checkpoint(tmp_path / "ck", model)
+            peak_kib = (tracemalloc.get_traced_memory()[1] - base) / 2**10
+        finally:
+            tracemalloc.stop()
+        assert peak_kib <= 64, f"{peak_kib:.0f} KiB"
+
     def test_duplicate_name_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)
         save_checkpoint(tmp_path / "ck", model)
@@ -183,11 +228,26 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "ck", model)
 
     def test_directory_without_payload_rejected(self, rng, tmp_path):
-        # such as a checkpoint written as one STN1 file per parameter
+        # the older layout: one STN1 file per parameter, named in a
+        # three-field manifest
+        model = _TwoLayer(rng)
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        lines = []
+        for i, (name, t) in enumerate(model.named_parameters()):
+            write_stn1(ck / f"param_{i:04d}.stn1", t.data)
+            lines.append(f"{name}\tparam_{i:04d}.stn1\t{'x'.join(map(str, t.shape))}")
+        (ck / "manifest.txt").write_text("\n".join(lines) + "\n")
+        for read in (lambda: load_checkpoint(ck, model), lambda: checkpoint_scalar_count(ck)):
+            with pytest.raises(FileNotFoundError, match="no params.stn1.*one STN1 file per parameter"):
+                read()
+
+    def test_manifest_line_of_three_fields_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)
         save_checkpoint(tmp_path / "ck", model)
-        (tmp_path / "ck" / "params.stn1").rename(tmp_path / "ck" / "param_0000.stn1")
-        with pytest.raises(FileNotFoundError, match="no params.stn1"):
+        manifest = tmp_path / "ck" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("\t", "\tparam_0000.stn1\t", 1))
+        with pytest.raises(ValueError, match="line 1 has 3 tab-separated fields"):
             load_checkpoint(tmp_path / "ck", model)
 
     def test_parameters_of_two_dtypes_rejected(self, rng, tmp_path):

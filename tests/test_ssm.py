@@ -278,8 +278,8 @@ class TestTimeBlocks:
 
     def test_node_retains_at_most_2_mib_at_1024_steps(self, rng):
         # infer_128's finest scale, four views of [1024,16] and N = 8: the
-        # node keeps its time-major inputs and h at each block's end (about
-        # 1.3 MiB with y); kept whole, exp(delta A) and h held 5.3 MiB
+        # node keeps h at each block's end, and y is kept (about 0.27 MiB
+        # together); kept whole, exp(delta A) and h held 5.3 MiB
         inputs = [Tensor(v, requires_grad=True)
                   for v in scan_inputs(rng, 4, 1024, 16, 8, False, np.float32)]
         tracemalloc.start()
