@@ -94,18 +94,6 @@ def save_checkpoint(ckpt_dir, model):
     (ckpt_dir / MANIFEST_NAME).write_text("".join(line + "\n" for line in lines))
 
 
-def _payload_path(ckpt_dir: Path) -> Path:
-    """`params.stn1` of a checkpoint directory, which must exist; looked for
-    before the manifest is read, so a directory in another layout, such as
-    one STN1 file per parameter, is named as such."""
-    payload = ckpt_dir / PAYLOAD_NAME
-    if not payload.is_file():
-        raise FileNotFoundError(f"{ckpt_dir}: no {PAYLOAD_NAME}, the file that holds a "
-                                f"checkpoint's parameter values (a checkpoint of one "
-                                f"STN1 file per parameter must be saved again)")
-    return payload
-
-
 def _read_manifest(ckpt_dir: Path) -> dict[str, tuple]:
     """Each parameter's shape by name, in payload order."""
     manifest = ckpt_dir / MANIFEST_NAME
@@ -124,26 +112,19 @@ def _read_manifest(ckpt_dir: Path) -> dict[str, tuple]:
     return shapes
 
 
-def _open_payload(f, payload: Path, shapes: dict[str, tuple]) -> np.dtype:
-    """Reads the header of the payload open as `f`, leaving `f` at the
-    first value, and returns the values' dtype once the header shows one
-    flat array as long as the manifest's shapes add up to."""
-    head = f.read(6)
-    head += f.read(8 * head[5]) if len(head) == 6 else b""
-    dtype, shape, _ = _stn1_header(head, payload, os.fstat(f.fileno()).st_size)
-    total = sum(math.prod(s) for s in shapes.values())
-    if shape != (total,):
-        raise ValueError(f"{payload}: holds {math.prod(shape)} values, the manifest lists {total}")
-    return dtype
-
-
 def load_checkpoint(ckpt_dir, model):
     """Read a checkpoint into `model`'s parameters in place. Each value is
     read from the payload straight into its parameter's buffer (through a
     one-tensor buffer when the dtypes differ), so no copy of the whole
     payload is made; nothing is written before every check has passed."""
     ckpt_dir = Path(ckpt_dir)
-    payload = _payload_path(ckpt_dir)
+    # looked for before the manifest is read, so a directory in another
+    # layout, such as one STN1 file per parameter, is named as such
+    payload = ckpt_dir / PAYLOAD_NAME
+    if not payload.is_file():
+        raise FileNotFoundError(f"{ckpt_dir}: no {PAYLOAD_NAME}, the file that holds a "
+                                f"checkpoint's parameter values (a checkpoint of one "
+                                f"STN1 file per parameter must be saved again)")
     shapes = _read_manifest(ckpt_dir)
     params = dict(model.named_parameters())
     extra = [n for n in shapes if n not in params]
@@ -155,8 +136,14 @@ def load_checkpoint(ckpt_dir, model):
         if shapes[name] != t.shape:
             raise ValueError(f"shape mismatch for '{name}': checkpoint {shapes[name]} "
                              f"vs model {t.shape}")
-    with open(payload, "rb") as f:
-        dtype = _open_payload(f, payload, shapes)
+    with open(payload, "rb") as f:   # its header must show one flat array of the manifest's total
+        head = f.read(6)
+        head += f.read(8 * head[5]) if len(head) == 6 else b""
+        dtype, stored, _ = _stn1_header(head, payload, os.fstat(f.fileno()).st_size)
+        total = sum(math.prod(s) for s in shapes.values())
+        if stored != (total,):
+            raise ValueError(f"{payload}: holds {math.prod(stored)} values, "
+                             f"the manifest lists {total}")
         for name, shape in shapes.items():
             # in place: an optimizer may hold t.data as a view of its flat run
             t = params[name]
@@ -165,16 +152,6 @@ def load_checkpoint(ckpt_dir, model):
             f.readinto(dst.reshape(-1).view(np.uint8))
             if not direct:
                 np.copyto(t.data, dst, casting="unsafe")
-
-
-def checkpoint_scalar_count(ckpt_dir) -> int:
-    """Total stored parameter scalars in a checkpoint directory."""
-    ckpt_dir = Path(ckpt_dir)
-    payload = _payload_path(ckpt_dir)
-    shapes = _read_manifest(ckpt_dir)
-    with open(payload, "rb") as f:
-        _open_payload(f, payload, shapes)
-    return sum(math.prod(s) for s in shapes.values())
 
 
 def write_pgm(path, mask: np.ndarray):

@@ -4,7 +4,8 @@ GroupNorm, LayerNorm, adaptive average pooling, stable softmax.
 Every layer is channel-major: inputs are [B,C,...] with the channels on
 axis 1. `Linear` contracts that axis, W @ x with W [out,in], so it runs on
 [B,C,H,W] maps and [B,C,N] sequences alike and a map never round-trips
-through a [B,N,C] token layout.
+through a [B,N,C] token layout. It is the one pointwise path: a 1x1 conv
+is a `Linear`, and the conv kernels below have no case for it.
 
 `Linear`, the two norms and `softmax` are one autodiff op each with a
 hand-written backward, so none leaves a chain of reshapes and elementwise
@@ -84,7 +85,8 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         """W @ x + b over axis 1 of a [B,in,...] input; returns [B,out,...].
         One op, recording the MACs of the matmul; its backward gives W, b
-        and x directly."""
+        and x directly. It serves every pointwise projection, the 1x1
+        convs of the UNet included."""
         if x.ndim < 2 or x.shape[1] != self.in_features:
             raise ValueError(f"linear expects {self.in_features} channels on axis 1, got {x.shape}")
         w, bias = self.weight, self.bias
@@ -129,21 +131,13 @@ def _span(k: int, s: int, p: int, lo: int, hi: int, olo: int, ohi: int) -> tuple
     return max(olo, -((k - p - lo) // s)), min(ohi, (hi - 1 + p - k) // s + 1)
 
 
-def _pointwise(kh: int, kw: int, s: int, p: int) -> bool:
-    """A 1x1 stride-1 window with no padding: its columns are the input."""
-    return kh == kw == s == 1 and not p
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int,
             rows: tuple[int, int] | None = None) -> np.ndarray:
     """[B,C,H,W] -> [B,C,kh,kw,R,OW] zero-padded windows of output rows
     [r0, r1) (all OH by default): the input rows they read are padded once,
-    then each tap is one strided copy of whole output rows. A 1x1 stride-1
-    window with no padding is `x` itself, reshaped with no copy."""
+    then each tap is one strided copy of whole output rows."""
     b, c, h, w = x.shape
     r0, r1 = rows or (0, (h + 2 * p - kh) // s + 1)
-    if _pointwise(kh, kw, s, p):
-        return np.ascontiguousarray(x[:, :, r0:r1]).reshape(b, c, 1, 1, r1 - r0, w)
     top, n = r0 * s - p, (r1 - r0 - 1) * s + kh        # the input rows read, padding counted
     if p:
         xp = np.zeros((b, c, n, w + 2 * p), dtype=x.dtype)
@@ -181,11 +175,8 @@ def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
     """Adjoint of `_im2col`: [B,C,kh,kw,OH,OW] -> contiguous [B,C,H,W]. Each
     tap adds its in-bounds rectangle, in tap order, straight into the
     zeroed result, so no padded buffer is staged and a tap that reads only
-    padding adds nothing. A 1x1 stride-1 window with no padding is `cols`
-    reshaped."""
+    padding adds nothing."""
     b, c, kh, kw, oh, ow = cols.shape
-    if _pointwise(kh, kw, s, p):
-        return cols.reshape(b, c, h, w)
     x = np.zeros((b, c, h, w), dtype=cols.dtype)
     _fold(x, cols, s, p, (0, h), (0, oh))
     return x
@@ -195,13 +186,13 @@ def _row_blocks(oh: int, ow: int, k: int, s: int, row_cols: int,
                 row_macs: int) -> tuple[list[int], int]:
     """Bounds 0 = r_0 < ... < r_n = oh of a conv's output-row blocks, and
     their halo: the rows after a block that its input-gradient block also
-    reads. Each output row takes `row_cols` column elements (0 for a window
-    that copies nothing) and `row_macs` MACs of each matrix product (0 for
-    a matrix-vector product). Columns that fit `COL_BUDGET`, matrix-vector
-    convs and rows of other than a multiple of `_COL_ALIGN` pixels are one
-    block. Otherwise the blocks are as even as can be, and each fits the
-    budget with its halo unless a block that small would do under
-    `_MIN_BLOCK_MACS` MACs, or one row alone does not fit."""
+    reads. Each output row takes `row_cols` column elements and `row_macs`
+    MACs of each matrix product (0 for a matrix-vector product). Columns
+    that fit `COL_BUDGET`, matrix-vector convs and rows of other than a
+    multiple of `_COL_ALIGN` pixels are one block. Otherwise the blocks are
+    as even as can be, and each fits the budget with its halo unless a
+    block that small would do under `_MIN_BLOCK_MACS` MACs, or one row
+    alone does not fit."""
     halo = (k - 2) // s + 1
     if oh * row_cols <= COL_BUDGET or not row_macs or ow % _COL_ALIGN:
         return [0, oh], halo
@@ -226,8 +217,7 @@ def _plan(x_shape: tuple, w_shape: tuple, stride: int, padding: int, groups: int
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    bounds, halo = _row_blocks(oh, ow, kh, stride,
-                               0 if _pointwise(kh, kw, stride, padding) else b * c * kh * kw * ow,
+    bounds, halo = _row_blocks(oh, ow, kh, stride, b * c * kh * kw * ow,
                                0 if out_ch == groups else out_ch // groups * cg * kh * kw * ow)
     return _Plan(x_shape, w_shape, stride, padding, groups, oh, ow, bounds, halo)
 
@@ -257,12 +247,6 @@ def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
     the same order as one col2im of the whole map. W^T @ g is a broadcast
     product when each group has one output channel (an inner dimension of 1)."""
     (b, c, h, w), (_, _, kh, kw), s, p, _, oh, ow, bounds, halo = plan
-
-    def col_grad(gb):
-        return wt * gb if wt.shape[-1] == 1 else np.matmul(wt, gb)
-
-    if _pointwise(kh, kw, s, p):   # the columns are x itself, so W^T @ g is its gradient
-        return col_grad(gm).reshape(plan.x_shape)
     # the input block of output block [r0, r1) starts at the row that r0's
     # last tap reads, which no earlier output row reaches, and ends where the
     # next one starts, so output rows [r0, r1 + halo) hold every product its
@@ -271,7 +255,8 @@ def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
     gx = np.zeros(plan.x_shape, dtype=np.result_type(gm, wt))
     for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
         o1 = min(oh, o1 + halo)
-        gcols = col_grad(gm[..., o0 * ow:o1 * ow])
+        gb = gm[..., o0 * ow:o1 * ow]
+        gcols = wt * gb if wt.shape[-1] == 1 else np.matmul(wt, gb)
         _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), s, p, (i0, i1), (o0, o1))
     return gx
 

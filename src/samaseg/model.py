@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import AttnConfig
 from .crmsm import CrMsm, check_flip_mode
-from .layers import Conv2d, ConvTranspose2d, Module
+from .layers import Conv2d, ConvTranspose2d, Linear, Module
 from .profiler import mac_scope
 from .sama import AblationFlags, SamaBlock
 from .tensor import Tensor, concat, no_grad
@@ -100,7 +100,7 @@ class Downsample(Module):
 
     def __init__(self, in_ch: int, out_ch: int, rng, dtype=np.float32):
         self.dw = Conv2d(in_ch, in_ch, 3, rng, stride=2, padding=1, groups=in_ch, dtype=dtype)
-        self.pw = Conv2d(in_ch, out_ch, 1, rng, dtype=dtype)
+        self.pw = Linear(in_ch, out_ch, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.pw(self.dw(x))
@@ -112,7 +112,7 @@ class ResidualConvBlock(Module):
     def __init__(self, in_ch: int, out_ch: int, rng, dtype=np.float32):
         self.conv1 = Conv2d(in_ch, out_ch, 3, rng, padding=1, dtype=dtype)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng, padding=1, dtype=dtype)
-        self.short = Conv2d(in_ch, out_ch, 1, rng, dtype=dtype) if in_ch != out_ch else None
+        self.short = Linear(in_ch, out_ch, rng, dtype=dtype) if in_ch != out_ch else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = self.conv2(self.conv1(x).silu())
@@ -151,9 +151,9 @@ class SamaUNet(Module):
         self.dec_blocks = [ResidualConvBlock(2 * chans[i], chans[i], rng, dtype=dtype)
                            for i in range(cfg.num_stages - 1)]
         self.final_expand = FinalExpand(chans[0], rng, dtype=dtype)
-        self.head_full = Conv2d(chans[0], cfg.num_classes, 1, rng, dtype=dtype)
+        self.head_full = Linear(chans[0], cfg.num_classes, rng, dtype=dtype)
         if cfg.deep_supervision:
-            self.ds_heads = [Conv2d(chans[i], cfg.num_classes, 1, rng, dtype=dtype)
+            self.ds_heads = [Linear(chans[i], cfg.num_classes, rng, dtype=dtype)
                              for i in range(cfg.num_stages - 1)]
 
     def encode(self, x: Tensor) -> list[Tensor]:

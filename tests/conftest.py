@@ -35,9 +35,7 @@ def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
     cols = _im2col(x.data, kh, kw, stride, padding)
 
     def bwd(g):
-        # a 1x1 window's col2im is a view of g, which this closure does not own
-        pointwise = kh == kw == stride == 1 and not padding
-        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding), owned=not pointwise)
+        x._accumulate(_col2im(g.reshape(cols.shape), h, w, stride, padding), owned=True)
 
     return Tensor._op(cols.reshape(b, groups, -1, cols.shape[-2] * cols.shape[-1]), (x,), bwd)
 

@@ -13,7 +13,7 @@ from samaseg.attention import AttnConfig, DiffAggAttention, diff_softmax
 from samaseg.crmsm import VIEW_COUNT, CrMsmScale, from_views, to_views, view_index
 from samaseg.data import SyntheticSpec, make_sample
 from samaseg.gradsuite import run_suite
-from samaseg.io import checkpoint_scalar_count, save_checkpoint
+from samaseg.io import read_stn1, save_checkpoint
 from samaseg.layers import softmax
 from samaseg.metrics import NsdConfig, dsc, nsd
 from samaseg.model import ModelConfig, SamaUNet, seg_loss
@@ -260,7 +260,7 @@ def test_criterion_9_parameter_accounting(tmp_path):
         x = Tensor(np.zeros((1, 1, 16, 16), np.float32))
         report = build_report(model, lambda: model(x))
         save_checkpoint(tmp_path / f"ck{i}", model)
-        stored = checkpoint_scalar_count(tmp_path / f"ck{i}")
+        stored = read_stn1(tmp_path / f"ck{i}" / "params.stn1").size
         counts.append((report.total_params, stored))
         ok &= report.total_params == stored
     _report(9, "profiler vs checkpoint parameter accounting", ok,

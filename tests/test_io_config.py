@@ -1,5 +1,6 @@
 """Binary tensor files, checkpoint directories, and config parsing."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samaseg.config import apply_setting, desk_default, load_config, parse_config
-from samaseg.io import (checkpoint_scalar_count, load_checkpoint, read_stn1,
-                        save_checkpoint, write_pgm, write_stn1)
+from samaseg.io import load_checkpoint, read_stn1, save_checkpoint, write_pgm, write_stn1
 from samaseg.layers import Linear, Module
 from samaseg.model import ModelConfig, SamaUNet
 from samaseg.optim import AdamW
@@ -106,11 +106,6 @@ class TestCheckpoints:
             np.testing.assert_allclose(t.data, s.data - 0.1, rtol=0, atol=1e-6, err_msg=n)
             assert any(np.shares_memory(t.data, run.p) for run in opt.runs), n
 
-    def test_scalar_count_matches_model(self, rng, tmp_path):
-        model = _TwoLayer(rng)
-        save_checkpoint(tmp_path / "ck", model)
-        assert checkpoint_scalar_count(tmp_path / "ck") == model.num_params()
-
     def test_missing_parameter_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)
         save_checkpoint(tmp_path / "ck", model)
@@ -139,6 +134,33 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="shape mismatch for 'a.weight'"):
             load_checkpoint(tmp_path / "ck", model)
 
+    def test_checkpoint_of_1x1_conv_weights_rejected_before_any_write(self, tmp_path):
+        # the layout the UNet's ten 1x1 layers were saved in as convs: the
+        # same names and values, each weight listed as out x in x 1 x 1
+        model = SamaUNet(ModelConfig(stage_depths=[1, 1, 1, 1]), np.random.default_rng(0))
+        save_checkpoint(tmp_path / "ck", model)
+        manifest = tmp_path / "ck" / "manifest.txt"
+        pointwise = re.compile(r"(downs\.\d\.pw|dec_blocks\.\d\.short|head_full|ds_heads\.\d)"
+                               r"\.weight")
+        params = dict(model.named_parameters())
+        lines = manifest.read_text().splitlines()
+        for i, line in enumerate(lines):
+            name = line.split("\t")[0]
+            if pointwise.fullmatch(name):
+                out, cin = params[name].shape[:2]
+                lines[i] = f"{name}\t{out}x{cin}x1x1"
+        assert sum(line.endswith("x1x1") for line in lines) == 10
+        assert "downs.0.pw.weight\t32x16x1x1" in lines
+        manifest.write_text("\n".join(lines) + "\n")
+        for _, t in model.named_parameters():
+            t.data += 1.0
+        expected = {n: t.data.copy() for n, t in model.named_parameters()}
+        with pytest.raises(ValueError, match=r"shape mismatch for 'downs\.0\.pw\.weight': "
+                                             r"checkpoint \(32, 16, 1, 1\) vs model \(32, 16\)"):
+            load_checkpoint(tmp_path / "ck", model)
+        for n, t in model.named_parameters():
+            assert t.data.tobytes() == expected[n].tobytes(), n
+
     def test_layout_is_one_payload_in_parameter_order(self, rng, tmp_path):
         model = _TwoLayer(rng)
         save_checkpoint(tmp_path / "ck", model)
@@ -161,7 +183,7 @@ class TestCheckpoints:
         load_checkpoint(tmp_path / "ck", model)
         for (n, t), (_, s) in zip(model.named_parameters(), saved.named_parameters(), strict=True):
             assert t.dtype == dtype and t.data.tobytes() == s.data.tobytes(), n
-        assert checkpoint_scalar_count(tmp_path / "ck") == model.num_params()
+        assert read_stn1(tmp_path / "ck" / "params.stn1").size == model.num_params()
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
     def test_payload_of_another_length_rejected(self, rng, tmp_path, change):
@@ -169,11 +191,9 @@ class TestCheckpoints:
         save_checkpoint(tmp_path / "ck", model)
         payload = tmp_path / "ck" / "params.stn1"
         write_stn1(payload, np.zeros(model.num_params() + change, np.float32))
-        for read in (lambda: load_checkpoint(tmp_path / "ck", model),
-                     lambda: checkpoint_scalar_count(tmp_path / "ck")):
-            with pytest.raises(ValueError, match=f"holds {model.num_params() + change} values, "
-                                                 f"the manifest lists {model.num_params()}"):
-                read()
+        with pytest.raises(ValueError, match=f"holds {model.num_params() + change} values, "
+                                             f"the manifest lists {model.num_params()}"):
+            load_checkpoint(tmp_path / "ck", model)
 
     def test_truncated_payload_rejected_before_any_write(self, rng, tmp_path):
         model = _TwoLayer(rng)
@@ -238,9 +258,8 @@ class TestCheckpoints:
             write_stn1(ck / f"param_{i:04d}.stn1", t.data)
             lines.append(f"{name}\tparam_{i:04d}.stn1\t{'x'.join(map(str, t.shape))}")
         (ck / "manifest.txt").write_text("\n".join(lines) + "\n")
-        for read in (lambda: load_checkpoint(ck, model), lambda: checkpoint_scalar_count(ck)):
-            with pytest.raises(FileNotFoundError, match="no params.stn1.*one STN1 file per parameter"):
-                read()
+        with pytest.raises(FileNotFoundError, match="no params.stn1.*one STN1 file per parameter"):
+            load_checkpoint(ck, model)
 
     def test_manifest_line_of_three_fields_rejected(self, rng, tmp_path):
         model = _TwoLayer(rng)

@@ -86,6 +86,17 @@ def assert_same_op(fused, composite, leaves, rtol=1e-12):
         np.testing.assert_allclose(g, w, rtol=rtol)
 
 
+# The desk-default UNet's ten 1x1 layers (C0 = 16, four stages, two
+# classes): name, in and out channels, and the divisor of the image side
+# they run at
+UNET_POINTWISE = [
+    ("downs.0.pw", 16, 32, 8), ("downs.1.pw", 32, 64, 16), ("downs.2.pw", 64, 128, 32),
+    ("dec_blocks.0.short", 32, 16, 4), ("dec_blocks.1.short", 64, 32, 8),
+    ("dec_blocks.2.short", 128, 64, 16), ("ds_heads.0", 16, 2, 4), ("ds_heads.1", 32, 2, 8),
+    ("ds_heads.2", 64, 2, 16), ("head_full", 16, 2, 1),
+]
+
+
 class TestLinear:
     def test_matches_affine_map(self, rng):
         lin = Linear(4, 3, rng, dtype=np.float64)
@@ -129,6 +140,35 @@ class TestLinear:
             return _weighted_sum(lin(x), np.random.default_rng(7))
 
         assert grad_check(f, [x] + lin.parameters()) < 1e-7
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [32, 64, 128])
+    @pytest.mark.parametrize("cin,out,div", [layer[1:] for layer in UNET_POINTWISE],
+                             ids=[layer[0] for layer in UNET_POINTWISE])
+    def test_matches_1x1_conv_on_the_general_path(self, rng, cin, out, div, side, dtype, b):
+        # the same layer as conv2d with W[..., None, None], whose 1x1 window
+        # takes the im2col path: y and the x and W gradients keep their
+        # bits; the bias gradient sums the batch before the pixels, so it
+        # keeps them only at B = 1, and at B = 2 differs by a rounding of
+        # the sum, bounded against the sum of |g| since the sums cancel
+        lin = Linear(cin, out, rng, dtype=dtype)
+        w4 = Tensor(lin.weight.data[..., None, None].copy(), requires_grad=True)
+        b4 = Tensor(lin.bias.data.copy(), requires_grad=True)
+        data = rng.uniform(-1, 1, size=(b, cin, side // div, side // div)).astype(dtype)
+        x, x4 = Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)
+        y, y4 = lin(x), conv2d(x4, w4, b4)
+        assert y.dtype == dtype and y.data.tobytes() == y4.data.tobytes()
+        g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
+        y.backward(g.copy())
+        y4.backward(g.copy())
+        assert x.grad.tobytes() == x4.grad.tobytes()
+        assert lin.weight.grad.tobytes() == w4.grad[..., 0, 0].tobytes()
+        if b == 1:
+            assert lin.bias.grad.tobytes() == b4.grad.tobytes()
+        else:
+            tol = 1e-6 if dtype == np.float32 else 1e-12
+            assert np.all(np.abs(lin.bias.grad - b4.grad) <= tol * np.abs(g).sum(axis=(0, 2, 3)))
 
 
 CONV_GEOMETRIES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2)]
@@ -245,8 +285,8 @@ class TestConvTape:
     @pytest.mark.parametrize("cin,out_ch,groups", [(64, 32, 1), (8, 16, 2), (8, 8, 8)],
                              ids=["dense", "grouped", "depthwise"])
     def test_pointwise_input_gradient_is_the_fold_path(self, rng, cin, out_ch, groups, dtype):
-        # a 1x1 stride-1 unpadded conv's columns are x, so W^T @ g reshaped
-        # is x's gradient; it must equal W^T @ g added into a zeroed map
+        # a 1x1 conv runs the general path, whose one tap folds W^T @ g
+        # into a zeroed map: x's gradient must be exactly that
         conv = Conv2d(cin, out_ch, 1, rng, groups=groups, dtype=dtype)
         x = Tensor(rng.uniform(-1, 1, size=(2, cin, 16, 16)).astype(dtype), requires_grad=True)
         y = conv(x)
@@ -390,12 +430,6 @@ class TestUnfoldFold:
         np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
         assert back.flags.c_contiguous
         np.testing.assert_array_equal(back, padded_scatter_fold(c, *extent, stride, padding))
-
-    def test_pointwise_window_copies_nothing(self, rng):
-        x = rng.uniform(-1, 1, size=(2, 3, 4, 5))
-        cols = _im2col(x, 1, 1, 1, 0)
-        assert cols.shape == (2, 3, 1, 1, 4, 5) and np.shares_memory(cols, x)
-        assert np.shares_memory(_col2im(cols, 4, 5, 1, 0), x)
 
 
 # extents chosen so the conv geometry round-trips exactly

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import naive_softmax
-from samaseg.layers import conv2d
+from test_layers import UNET_POINTWISE
+from samaseg.layers import Conv2d, Linear, conv2d
 from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights, predict,
                            seg_loss)
 from samaseg.sama import AblationFlags
@@ -314,6 +315,19 @@ class TestParameterNames:
         model = SamaUNet(tiny_cfg(), np.random.default_rng(0))
         assert [n for n, _ in model.named_parameters()] == expected
         assert len(expected) == 132
+
+    def test_pointwise_layers_are_linear_with_the_1x1_conv_draws(self):
+        # the ten 1x1 layers are Linear, no conv is 1x1, and a Linear draws
+        # its weight and bias as Conv2d(k=1) did, so a seed gives the values
+        # it gave when they were convs
+        params = dict(SamaUNet(ModelConfig(), np.random.default_rng(0)).named_parameters())
+        assert [n for n, t in params.items() if t.ndim == 4 and t.shape[2:] == (1, 1)] == []
+        for name, cin, out, _ in UNET_POINTWISE:
+            assert params[f"{name}.weight"].shape == (out, cin), name
+            lin = Linear(cin, out, np.random.default_rng(1))
+            conv = Conv2d(cin, out, 1, np.random.default_rng(1))
+            assert lin.weight.data.tobytes() == conv.weight.data.tobytes(), name
+            assert lin.bias.data.tobytes() == conv.bias.data.tobytes(), name
 
 
 class TestGraphSize:

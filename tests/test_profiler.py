@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from samaseg.attention import AttnConfig, DiffAggAttention
-from samaseg.io import checkpoint_scalar_count, save_checkpoint
+from samaseg.io import read_stn1, save_checkpoint
 from samaseg.layers import ConvTranspose2d, Linear, conv2d
 from samaseg.model import ModelConfig, SamaUNet
 from samaseg.profiler import build_report, count_macs, mac_scope
@@ -109,7 +109,7 @@ class TestReport:
         report = build_report(model, lambda: model(x))
         assert report.total_params == model.num_params()
         save_checkpoint(tmp_path / "ck", model)
-        assert report.total_params == checkpoint_scalar_count(tmp_path / "ck")
+        assert report.total_params == read_stn1(tmp_path / "ck" / "params.stn1").size
 
     def test_rows_cover_architecture(self):
         model = self._model()
