@@ -3,7 +3,7 @@ blocks, causal-resonance multi-scale skip connections over a selective
 state-space scan, and a U-shaped network with training, evaluation, and
 profiling tooling, all on a minimal reverse-mode autodiff tensor core."""
 
-from .attention import AttnConfig, DiffAggAttention, diff_softmax
+from .attention import AttnConfig, DiffAggAttention
 from .crmsm import CrMsm, CrMsmScale
 from .model import ModelConfig, SamaUNet, seg_loss
 from .sama import AblationFlags, SamaBlock
@@ -12,6 +12,5 @@ from .tensor import Tensor
 
 __all__ = [
     "AblationFlags", "AttnConfig", "CrMsm", "CrMsmScale", "DiffAggAttention",
-    "ModelConfig", "SamaBlock", "SamaUNet", "SelectiveSsm", "Tensor", "diff_softmax",
-    "seg_loss",
+    "ModelConfig", "SamaBlock", "SamaUNet", "SelectiveSsm", "Tensor", "seg_loss",
 ]

@@ -24,13 +24,13 @@ a cached out-of-bounds mask, and contracts the weights with the value
 columns over the key axis; its backward runs col2im on the column
 gradients. The global core is `_attend_tokens`, two batched matmuls
 around the key softmax on the pooled key and value maps; the pooling
-stays a separate op, and `diff_softmax` runs on the same op. Both cores
-share `_diff_weights` (softmax over the keys, then s1 - lam * s2) and its
-adjoint `_diff_weights_grad`, and repeat in order the float operations
-of the composite unfold/contract/softmax chains that the tests keep as
-oracles, so values and gradients match those chains bit for bit. Each
-returns its [B,heads,c,HW] result as the [B,d,H,W] map, so the group
-norm reads it with no reshape node.
+stays a separate op. Both cores share `_diff_weights` (softmax over the
+keys, then s1 - lam * s2) and its adjoint `_diff_weights_grad`, and
+repeat in order the float operations of the composite
+unfold/contract/softmax chains that the tests keep as oracles, so values
+and gradients match those chains bit for bit. Each returns its
+[B,heads,c,HW] result as the [B,d,H,W] map, so the group norm reads it
+with no reshape node.
 
 Each core's node keeps its parents and the key softmax s, and nothing
 else of the size of a map: the backward rebuilds the weights from s with
@@ -163,21 +163,6 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
 
     return Tensor._op(out.reshape(b, dv, *q.shape[2:]),
                       (q, k, v) if lam is None else (q, k, v, lam), bwd)
-
-
-def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
-    """Differential softmax attention for q [h,n,c], k [h,m,c], v [h,m,cv],
-    lam [h]; returns [h,n,cv]. Each head's two channel halves are the
-    sub-heads of `_attend_tokens`."""
-    h, n, c = q.shape
-    m, cv = k.shape[1], v.shape[2]
-    if c % 2:
-        raise ValueError(f"differential attention needs an even channel count, got {c}")
-    c2 = c // 2
-    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, n)
-    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, m)
-    vs = v.transpose(0, 2, 1).reshape(1, h * cv, m)
-    return _attend_tokens(qs, ks, vs, lam, 2 * h, h).reshape(h, cv, n).transpose(0, 2, 1)
 
 
 def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:

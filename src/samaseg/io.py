@@ -45,9 +45,11 @@ def write_stn1(path, arr: np.ndarray):
         f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).data)
 
 
-def _stn1_header(raw: bytes, path, file_size: int) -> tuple[np.dtype, tuple, int]:
-    """dtype, shape and payload offset of the STN1 header at the start of
-    `raw`, checked against the `file_size` bytes of the whole file."""
+def _read_header(f, path) -> tuple[np.dtype, tuple]:
+    """dtype and shape of the STN1 file open as `f`, read from its header,
+    which leaves `f` at the payload; the file's size must match them."""
+    raw = f.read(6)
+    raw += f.read(8 * raw[5]) if len(raw) == 6 else b""
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an STN1 file")
     if len(raw) < 6 or len(raw) < 6 + 8 * raw[5]:
@@ -55,24 +57,23 @@ def _stn1_header(raw: bytes, path, file_size: int) -> tuple[np.dtype, tuple, int
     tag, rank = raw[4], raw[5]
     if tag not in _TAG_TO_DTYPE:
         raise ValueError(f"{path}: unknown dtype tag {tag}")
-    start = 6 + 8 * rank
     shape = struct.unpack_from(f"<{rank}Q", raw, 6)
     dtype = _TAG_TO_DTYPE[tag]
     size = math.prod(shape) * dtype.itemsize
-    if file_size != start + size:
-        raise ValueError(f"{path}: payload is {file_size - start} bytes, shape {shape} "
+    file_size = os.fstat(f.fileno()).st_size
+    if file_size != len(raw) + size:
+        raise ValueError(f"{path}: payload is {file_size - len(raw)} bytes, shape {shape} "
                          f"needs {size}")
-    return dtype, shape, start
-
-
-def _parse_stn1(raw: bytes, path) -> np.ndarray:
-    """The array an STN1 file's bytes hold, as a read-only view of `raw`."""
-    dtype, shape, start = _stn1_header(raw, path, len(raw))
-    return np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape)
+    return dtype, shape
 
 
 def read_stn1(path) -> np.ndarray:
-    return _parse_stn1(Path(path).read_bytes(), path).copy()
+    """The array an STN1 file holds, read straight into one fresh array."""
+    with open(path, "rb") as f:
+        dtype, shape = _read_header(f, path)
+        arr = np.empty(shape, dtype=dtype)
+        f.readinto(arr.reshape(-1).view(np.uint8))
+    return arr
 
 
 def save_checkpoint(ckpt_dir, model):
@@ -137,9 +138,7 @@ def load_checkpoint(ckpt_dir, model):
             raise ValueError(f"shape mismatch for '{name}': checkpoint {shapes[name]} "
                              f"vs model {t.shape}")
     with open(payload, "rb") as f:   # its header must show one flat array of the manifest's total
-        head = f.read(6)
-        head += f.read(8 * head[5]) if len(head) == 6 else b""
-        dtype, stored, _ = _stn1_header(head, payload, os.fstat(f.fileno()).st_size)
+        dtype, stored = _read_header(f, payload)
         total = sum(math.prod(s) for s in shapes.values())
         if stored != (total,):
             raise ValueError(f"{payload}: holds {math.prod(stored)} values, "

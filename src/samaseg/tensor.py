@@ -9,6 +9,10 @@ determine are recomputed in the backward by the same numpy calls, so
 they carry the same bits. Gradients accumulate additively, so a value
 used k times receives the sum of k adjoint contributions. Inside
 ``no_grad()`` no tape is recorded at all.
+
+The core holds the ops the kit runs. The extra ops that only the tests'
+oracle chains compose (division, log, sqrt, mean, ...) live beside those
+oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -100,9 +104,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -231,9 +232,6 @@ class Tensor:
 
         return Tensor._op(out_data, (a, b), bwd)
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other, self) - self
-
     def __mul__(self, other):
         other = Tensor._coerce(other, self)
         a, b = self, other
@@ -249,22 +247,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._coerce(other, self)
-        a, b = self, other
-        out_data = a.data / b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
-
-        return Tensor._op(out_data, (a, b), bwd)
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other, self) / self
-
     # -- elementwise nonlinearities ----------------------------------------
 
     def exp(self):
@@ -273,24 +255,6 @@ class Tensor:
 
         def bwd(g):
             a._accumulate(g * out_data, owned=True)
-
-        return Tensor._op(out_data, (a,), bwd)
-
-    def log(self):
-        a = self
-        out_data = np.log(a.data)
-
-        def bwd(g):
-            a._accumulate(g / a.data, owned=True)
-
-        return Tensor._op(out_data, (a,), bwd)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            a._accumulate(g * 0.5 / out_data, owned=True)
 
         return Tensor._op(out_data, (a,), bwd)
 
@@ -348,21 +312,6 @@ class Tensor:
             a._accumulate(grad)
 
         return Tensor._op(np.asarray(out_data), (a,), bwd)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, int):
-            n = self.shape[axis]
-        else:
-            n = 1
-            for ax in axis:
-                n *= self.shape[ax]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def max_const(self, axis=None, keepdims: bool = False) -> np.ndarray:
-        """Max of the current values, as a constant (no gradient flows)."""
-        return self.data.max(axis=axis, keepdims=keepdims)
 
     # -- contractions -------------------------------------------------------
 

@@ -1,5 +1,8 @@
-"""Shared test helpers: seeded tensors and naive reference implementations
-used as independent oracles."""
+"""Shared test helpers: seeded tensors, naive reference implementations
+used as independent oracles, and the extra autodiff ops that only the
+oracle chains compose (`div`, `rsub`, `log`, `sqrt`, `mean` and
+`diff_softmax`). The kit never runs those ops, so they live here rather
+than in `samaseg`, and nothing patches them back onto `Tensor`."""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from samaseg.attention import _attend_tokens
 from samaseg.layers import _col2im, _im2col
 from samaseg.ssm import _swap_bl
 from samaseg.profiler import record_macs
@@ -23,6 +27,71 @@ def randt(rng, shape, requires_grad=True, lo=-1.0, hi=1.0):
     """Seeded float64 tensor for gradient checks."""
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=requires_grad,
                   dtype=np.float64)
+
+
+def rsub(a: Tensor, other) -> Tensor:
+    """other - a, for a scalar or array `other`."""
+    return Tensor._coerce(other, a) - a
+
+
+def div(a: Tensor, b) -> Tensor:
+    """a / b, broadcasting; `b` may be a scalar or array."""
+    b = Tensor._coerce(b, a)
+    out_data = a.data / b.data
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+
+    return Tensor._op(out_data, (a, b), bwd)
+
+
+def log(a: Tensor) -> Tensor:
+    out_data = np.log(a.data)
+
+    def bwd(g):
+        a._accumulate(g / a.data, owned=True)
+
+    return Tensor._op(out_data, (a,), bwd)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out_data = np.sqrt(a.data)
+
+    def bwd(g):
+        a._accumulate(g * 0.5 / out_data, owned=True)
+
+    return Tensor._op(out_data, (a,), bwd)
+
+
+def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """The sum over `axis` times 1/n, as two nodes."""
+    if axis is None:
+        n = a.size
+    elif isinstance(axis, int):
+        n = a.shape[axis]
+    else:
+        n = 1
+        for ax in axis:
+            n *= a.shape[ax]
+    return a.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def diff_softmax(q: Tensor, k: Tensor, v: Tensor, lam: Tensor) -> Tensor:
+    """Differential softmax attention for q [h,n,c], k [h,m,c], v [h,m,cv],
+    lam [h]; returns [h,n,cv]. Each head's two channel halves are the
+    sub-heads of `_attend_tokens`."""
+    h, n, c = q.shape
+    m, cv = k.shape[1], v.shape[2]
+    if c % 2:
+        raise ValueError(f"differential attention needs an even channel count, got {c}")
+    c2 = c // 2
+    qs = q.reshape(h, n, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, n)
+    ks = k.reshape(h, m, 2, c2).transpose(0, 2, 3, 1).reshape(1, h * c, m)
+    vs = v.transpose(0, 2, 1).reshape(1, h * cv, m)
+    return _attend_tokens(qs, ks, vs, lam, 2 * h, h).reshape(h, cv, n).transpose(0, 2, 1)
 
 
 def unfold(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0,
@@ -191,6 +260,27 @@ def stored_normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Ten
 
     out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
     return Tensor._op(out, (x, gamma, beta), bwd)
+
+
+REORDER_C = 16
+
+
+def assert_reordered_sum(got, want, terms_abs_sum):
+    """Assert that `got` and `want` are the same sums added in different
+    orders: each entry of |got - want| is at most REORDER_C * u * sum|terms|,
+    where u is the dtype's unit roundoff (2^-24 in float32, 2^-53 in
+    float64) and `terms_abs_sum` holds each entry's sum of |terms|. This is
+    the standard bound on a reordered sum, |d| <= gamma_n * sum|x_i| (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., 2002, 4.2),
+    with one fixed constant in place of gamma_n's n: 16u is 9.5e-7 in
+    float32 and 1.8e-15 in float64."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bound = REORDER_C * (np.finfo(got.dtype).eps / 2) * np.asarray(terms_abs_sum, np.float64)
+    err = np.abs(got.astype(np.float64) - want)
+    over = err > bound
+    assert not over.any(), (f"{over.sum()} of {over.size} entries exceed {REORDER_C}u * "
+                            f"sum|terms|, worst by {np.max(err / np.maximum(bound, 1e-300)):.3g}x")
 
 
 def kept_kib(fn) -> float:

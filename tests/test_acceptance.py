@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from samaseg.attention import AttnConfig, DiffAggAttention, diff_softmax
+from conftest import diff_softmax
+from samaseg.attention import AttnConfig, DiffAggAttention
 from samaseg.crmsm import VIEW_COUNT, CrMsmScale, from_views, to_views, view_index
 from samaseg.data import SyntheticSpec, make_sample
 from samaseg.gradsuite import run_suite

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import contract, kept_kib, naive_conv2d, naive_softmax, unfold
+from conftest import contract, diff_softmax, kept_kib, naive_conv2d, naive_softmax, unfold
 from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _attend_tokens,
-                               _diff_weights, _mask_bias, _neighborhood_mask, diff_softmax)
+                               _diff_weights, _mask_bias, _neighborhood_mask)
 from samaseg.layers import adaptive_avg_pool2d, softmax
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor

@@ -74,6 +74,22 @@ class TestStn1:
         with pytest.raises(ValueError, match="len.stn1"):
             read_stn1(path)
 
+    def test_read_holds_one_array(self, tmp_path):
+        # a 4 MiB file: reading its bytes whole and copying the array out
+        # of them peaked at twice the array
+        arr = np.arange(1 << 20, dtype=np.float32).reshape(1024, 1024)
+        path = tmp_path / "big.stn1"
+        write_stn1(path, arr)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_stn1(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.dtype == arr.dtype and np.array_equal(back, arr)
+        assert peak <= 1.25 * arr.nbytes, f"{peak / arr.nbytes:.2f}x the array"
+
 
 class _TwoLayer(Module):
     def __init__(self, rng):

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import (kept_kib, naive_conv2d, naive_conv_transpose2d, naive_softmax, randt,
-                      stored_normalize, unfold, whole_map_conv_transpose2d)
+from conftest import (assert_reordered_sum, div, kept_kib, mean, naive_conv2d,
+                      naive_conv_transpose2d, naive_softmax, randt, sqrt, stored_normalize, unfold,
+                      whole_map_conv_transpose2d)
 from samaseg import layers
 from samaseg.attention import MASK_BIAS
 from samaseg.gradcheck import grad_check
@@ -34,17 +35,17 @@ from samaseg.tensor import Tensor, no_grad
 
 def composite_norm(x, view, axis, gamma, beta, eps=1e-5):
     xv = x.reshape(*view)
-    mu = xv.mean(axis=axis, keepdims=True)
+    mu = mean(xv, axis=axis, keepdims=True)
     centered = xv - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    norm = (centered / (var + eps).sqrt()).reshape(*x.shape)
+    var = mean(centered * centered, axis=axis, keepdims=True)
+    norm = div(centered, sqrt(var + eps)).reshape(*x.shape)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     return norm * gamma.reshape(shape) + beta.reshape(shape)
 
 
 def composite_softmax(x, axis):
-    e = (x - Tensor(x.max_const(axis=axis, keepdims=True))).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = (x - Tensor(x.data.max(axis=axis, keepdims=True))).exp()
+    return div(e, e.sum(axis=axis, keepdims=True))
 
 
 def values_and_grads(f, leaves):
@@ -167,8 +168,63 @@ class TestLinear:
         if b == 1:
             assert lin.bias.grad.tobytes() == b4.grad.tobytes()
         else:
-            tol = 1e-6 if dtype == np.float32 else 1e-12
-            assert np.all(np.abs(lin.bias.grad - b4.grad) <= tol * np.abs(g).sum(axis=(0, 2, 3)))
+            assert_reordered_sum(lin.bias.grad, b4.grad, np.abs(g).sum(axis=(0, 2, 3)))
+
+
+def blocked_weight_grad(x, g, k, rows, halo_cut=0, drop=None):
+    """The weight gradient of a k x k, stride-1, padding-k//2 conv, summed
+    over blocks of `rows` output rows: each block's columns come from its
+    own slice of the padded input, its rows plus a halo of k - 1 (less
+    `halo_cut`, the rows cut replaced by zeros); block `drop` is left out."""
+    b, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gw = np.zeros((g.shape[1], c * k * k), dtype=x.dtype)
+    for i, r0 in enumerate(range(0, h, rows)):
+        r1 = min(r0 + rows, h)
+        xs = np.pad(xp[:, :, r0:r1 + k - 1 - halo_cut], ((0, 0), (0, 0), (0, halo_cut), (0, 0)))
+        cols = _im2col(xs, k, k, 1, 0).reshape(b, c * k * k, -1)
+        if i != drop:
+            gw += np.matmul(g[:, :, r0:r1].reshape(b, g.shape[1], -1), cols.swapaxes(1, 2)).sum(0)
+    return gw
+
+
+class TestReorderedSumOracle:
+    """`assert_reordered_sum` accepts a weight gradient summed over row
+    blocks against the whole-map matmul, and rejects faults that no
+    reordering can cause. Signed data makes the sums cancel, so there the
+    1e-5 scaling shows only on the entries that cancel least; with
+    non-negative data every entry shows it."""
+
+    @staticmethod
+    def _case(dtype, lo):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(lo, 1, size=(2, 3, 16, 16)).astype(dtype)
+        g = rng.uniform(lo, 1, size=(2, 4, 16, 16)).astype(dtype)
+        cols = _im2col(x, 3, 3, 1, 1).reshape(2, 27, 256)
+        gm = g.reshape(2, 4, 256)
+        want = np.matmul(gm, cols.swapaxes(1, 2)).sum(0)
+        terms = np.matmul(np.abs(gm), np.abs(cols).swapaxes(1, 2)).sum(0)
+        return x, g, want, terms
+
+    @pytest.mark.parametrize("lo", [-1.0, 0.0], ids=["signed", "nonnegative"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_pass(self, dtype, lo):
+        x, g, want, terms = self._case(dtype, lo)
+        got = blocked_weight_grad(x, g, 3, 4)
+        assert got.tobytes() != want.tobytes()      # the order did change
+        assert_reordered_sum(got, want, terms)
+
+    @pytest.mark.parametrize("fault", ["dropped-block", "halo-cut-by-one", "scaled-1e-5"])
+    @pytest.mark.parametrize("lo", [-1.0, 0.0], ids=["signed", "nonnegative"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_planted_faults_fail(self, dtype, lo, fault):
+        x, g, want, terms = self._case(dtype, lo)
+        got = {"dropped-block": lambda: blocked_weight_grad(x, g, 3, 4, drop=1),
+               "halo-cut-by-one": lambda: blocked_weight_grad(x, g, 3, 4, halo_cut=1),
+               "scaled-1e-5": lambda: want * dtype(1 + 1e-5)}[fault]()
+        with pytest.raises(AssertionError, match="exceed 16u"):
+            assert_reordered_sum(got, want, terms)
 
 
 CONV_GEOMETRIES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2)]

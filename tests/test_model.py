@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import naive_softmax
+from conftest import div, log, mean, naive_softmax, rsub
 from test_layers import UNET_POINTWISE
 from samaseg.layers import Conv2d, Linear, conv2d
 from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights, predict,
@@ -56,9 +56,9 @@ def naive_seg_loss(heads, mask, num_classes, eps=1e-5):
 
 def log_softmax_classes(logits: Tensor) -> Tensor:
     """Log-softmax over the class axis (axis 1) of [B,K,H,W]."""
-    m = logits.max_const(axis=1, keepdims=True)
+    m = logits.data.max(axis=1, keepdims=True)
     z = logits - Tensor(m)
-    lse = z.exp().sum(axis=1, keepdims=True).log()
+    lse = log(z.exp().sum(axis=1, keepdims=True))
     return z - lse
 
 
@@ -73,7 +73,7 @@ def composite_seg_loss(logits, mask, num_classes, eps=1e-5):
         onehot_t = Tensor(onehot)
 
         logp = log_softmax_classes(head)
-        ce = -(logp * onehot_t).sum(axis=1).mean()
+        ce = -mean((logp * onehot_t).sum(axis=1))
 
         if k > 1:
             # soft Dice of every foreground class at once: sums over batch and pixels
@@ -82,7 +82,7 @@ def composite_seg_loss(logits, mask, num_classes, eps=1e-5):
             axes = (0, 2, 3)
             inter = (p * Tensor(g)).sum(axis=axes)
             denom = p.sum(axis=axes) + Tensor(g.sum(axis=axes)) + eps
-            dice_loss = 1.0 - ((inter * 2.0 + eps) / denom).mean()
+            dice_loss = rsub(mean(div(inter * 2.0 + eps, denom)), 1.0)
         else:
             dice_loss = Tensor(np.zeros((), dtype=head.dtype))
         head_loss = ce + dice_loss

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, every
-CLI subcommand prints its help, and the CLI imports no scipy. No other test
+CLI subcommand prints its help, the CLI imports no scipy, and the ops that
+only the test oracles compose stay out of the package. No other test
 imports the package's `__all__` or asks a subcommand for --help, so a stale
 export or a broken argument declaration would otherwise pass the suite."""
 
@@ -11,13 +12,23 @@ from pathlib import Path
 import pytest
 
 import samaseg
+from samaseg import attention
 from samaseg.cli import _build_parser, main
+from samaseg.tensor import Tensor
 
 
 def test_every_exported_name_resolves():
     assert samaseg.__all__
     for name in samaseg.__all__:
         assert getattr(samaseg, name, None) is not None, name
+
+
+def test_oracle_only_ops_are_not_in_the_package():
+    # they live in tests/conftest.py; a package call to one must fail here
+    for name in ("sqrt", "log", "max_const", "mean", "detach", "__rsub__", "__truediv__",
+                 "__rtruediv__"):
+        assert not hasattr(Tensor, name), name
+    assert not hasattr(attention, "diff_softmax")
 
 
 def _subcommands():

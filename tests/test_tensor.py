@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from conftest import contract, kept_kib, naive_matmul, randt, stored_silu
+from conftest import (contract, div, kept_kib, log, mean, naive_matmul, randt, rsub, sqrt,
+                      stored_silu)
 from samaseg.gradcheck import grad_check
 from samaseg.layers import Linear
 from samaseg.profiler import count_macs
@@ -25,7 +26,7 @@ class TestForwardValues:
         np.testing.assert_array_equal((ta + tb).data, a + b)
         np.testing.assert_array_equal((ta - tb).data, a - b)
         np.testing.assert_array_equal((ta * tb).data, a * b)
-        np.testing.assert_array_equal((ta / tb).data, a / b)
+        np.testing.assert_array_equal(div(ta, tb).data, a / b)
         np.testing.assert_array_equal((-ta).data, -a)
 
     def test_scalar_stays_zero_dimensional(self, rng):
@@ -33,15 +34,15 @@ class TestForwardValues:
         assert Tensor(np.zeros(())).shape == ()
         t = Tensor(rng.uniform(-1, 1, size=(3, 4)))
         assert (t.sum() * 2.0).shape == ()
-        assert (2.0 - t.sum()).shape == ()
+        assert rsub(t.sum(), 2.0).shape == ()
         assert Tensor(2.0).item() == 2.0
 
     def test_unary_matches_numpy(self, rng):
         a = rng.uniform(0.1, 3, size=(4, 5))
         t = Tensor(a)
         np.testing.assert_allclose(t.exp().data, np.exp(a), rtol=1e-15)
-        np.testing.assert_allclose(t.log().data, np.log(a), rtol=1e-15)
-        np.testing.assert_allclose(t.sqrt().data, np.sqrt(a), rtol=1e-15)
+        np.testing.assert_allclose(log(t).data, np.log(a), rtol=1e-15)
+        np.testing.assert_allclose(sqrt(t).data, np.sqrt(a), rtol=1e-15)
         np.testing.assert_allclose(t.sigmoid().data, 1 / (1 + np.exp(-a)), rtol=1e-12)
         np.testing.assert_allclose(t.silu().data, a / (1 + np.exp(-a)), rtol=1e-12)
         np.testing.assert_allclose(t.softplus().data, np.log1p(np.exp(a)), rtol=1e-12)
@@ -95,9 +96,7 @@ class TestForwardValues:
         np.testing.assert_allclose(t.sum(axis=1).data, a.sum(axis=1), rtol=1e-15)
         np.testing.assert_allclose(t.sum(axis=(0, 2), keepdims=True).data,
                                    a.sum(axis=(0, 2), keepdims=True), rtol=1e-15)
-        np.testing.assert_allclose(t.mean(axis=2).data, a.mean(axis=2), rtol=1e-15)
-        np.testing.assert_array_equal(t.max_const(axis=1, keepdims=True),
-                                      a.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(mean(t, axis=2).data, a.mean(axis=2), rtol=1e-15)
 
     def test_matmul_matches_triple_loop_on_integers(self, rng):
         # exact agreement expected: integer values, same accumulation results
@@ -238,9 +237,9 @@ class TestGradientOwnership:
 class TestBackwardNumeric:
     @pytest.mark.parametrize("fn,name", [
         (lambda x: (x.exp() + x.sigmoid() * x.silu()).sum(), "exp-sigmoid-silu"),
-        (lambda x: ((x + 2.0).log() * x.softplus()).sum(), "log-softplus"),
-        (lambda x: ((x * x + 1.0).sqrt() / (x + 3.0)).sum(), "sqrt-div"),
-        (lambda x: x.reshape(2, 6).transpose(1, 0).sum(axis=0).mean(), "shape-ops"),
+        (lambda x: (log(x + 2.0) * x.softplus()).sum(), "log-softplus"),
+        (lambda x: div(sqrt(x * x + 1.0), x + 3.0).sum(), "sqrt-div"),
+        (lambda x: mean(x.reshape(2, 6).transpose(1, 0).sum(axis=0)), "shape-ops"),
         (lambda x: x[:, ::-1, ::-1].sum(axis=(0, 1)).sum(), "flip"),
     ])
     def test_composites(self, rng, fn, name):
@@ -330,11 +329,6 @@ class TestGraphContract:
         y = x * 2.0
         assert not y.requires_grad
         assert y.grad is None
-
-    def test_detach_cuts_graph(self, rng):
-        x = randt(rng, (3,))
-        (x.detach() * x).sum().backward()
-        np.testing.assert_allclose(x.grad, x.data)  # only the live branch contributes
 
     def test_sweep_releases_every_non_leaf_and_keeps_leaf_gradients(self, rng):
         x, w = randt(rng, (3, 4)), randt(rng, (4,))
