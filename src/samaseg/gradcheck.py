@@ -14,6 +14,11 @@ import numpy as np
 from .tensor import Tensor, no_grad
 
 EPS = 1e-8
+# Each entry's error is relative to at least this fraction of its tensor's
+# largest analytic gradient entry. A central difference errs by about the
+# same absolute amount on every entry of a tensor (roundoff u*|f|/h), so an
+# entry far smaller than its tensor's others would fail on roundoff alone.
+GRAD_FLOOR = 1e-3
 
 
 def relative_error(analytic: float, numeric: float, floor: float = EPS) -> float:
@@ -31,10 +36,11 @@ def grad_check(f: Callable[[Sequence[Tensor]], Tensor],
     `f` maps the given leaf tensors to a scalar Tensor and must be
     deterministic. When `max_elems_per_tensor` is set, a seeded random
     subset of elements is checked per tensor (used for large composites
-    where exhaustive FD would be too slow). `zero_floor` raises the
-    denominator floor for composites with structurally-zero gradient
-    directions (e.g. softmax shift invariance), where FD roundoff noise
-    would otherwise dominate the ratio.
+    where exhaustive FD would be too slow). The denominator of each
+    relative error is at least `GRAD_FLOOR` times the largest analytic
+    entry of its tensor, and at least `zero_floor`, which composites raise
+    for tensors whose gradient is zero throughout (e.g. by softmax shift
+    invariance), where FD roundoff noise would otherwise dominate the ratio.
     """
     xs = list(xs)
     for x in xs:
@@ -59,6 +65,7 @@ def grad_check(f: Callable[[Sequence[Tensor]], Tensor],
             else:
                 idx = range(n)
             a_flat = a.reshape(-1)
+            floor = max(zero_floor, GRAD_FLOOR * float(np.abs(a_flat).max(initial=0.0)))
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + h
@@ -67,5 +74,5 @@ def grad_check(f: Callable[[Sequence[Tensor]], Tensor],
                 fm = float(f(xs).data.reshape(()))
                 flat[i] = orig
                 cd = (fp - fm) / (2.0 * h)
-                max_err = max(max_err, relative_error(float(a_flat[i]), cd, zero_floor))
+                max_err = max(max_err, relative_error(float(a_flat[i]), cd, floor))
     return max_err

@@ -16,16 +16,21 @@ its backward; softmax's keeps only its output.
 
 Convolution arithmetic exists once, as three kernels over one checked
 plan: the forward W @ im2col(x) over channel-major [B,G,(C/G)*kh*kw,OH*OW]
-columns in blocks of output rows, the input gradient col2im(W^T @ g) in
-blocks of input rows, and the weight gradient g @ im2col(x)^T from the full
-columns. `conv2d` (dense, grouped, depthwise) is one op over them, and so is
-`ConvTranspose2d`, the conv's input gradient with the roles swapped, which
-never multiplies inserted zeros. A block holds at most `COL_BUDGET` column
-elements, and blocks are aligned so that BLAS gives every pixel the bits of
-the whole-map matmul; a tape node keeps its inputs, not their k^2-fold
-columns. The local attention core reads its neighbourhoods through im2col
-and col2im too. Adaptive pooling is one op, rows @ x @ cols^T with
-averaging matrices built once per shape.
+columns in blocks of output rows, the fold col2im(W^T @ g) in blocks of
+input rows, and the weight gradient g @ im2col(x)^T summed over the
+forward's row blocks. `conv2d` (dense, grouped, depthwise) is one op over
+them. Its input gradient at stride 1 is itself a stride-1 conv of g, padded
+k-1-p, by W with both tap axes reversed and transposed within each group
+(Dumoulin & Visin, "A guide to convolution arithmetic for deep learning",
+2016), so it runs on the forward kernel; a strided conv, a padding past
+k-1 or a non-square kernel folds. `ConvTranspose2d` is the fold with the
+roles swapped, and never multiplies inserted zeros. A block holds at most
+`COL_BUDGET` column elements, so no call holds more than one block of
+columns, and blocks are aligned so that BLAS gives every pixel of the
+forward and of the fold the bits of the whole-map matmul; a tape node keeps
+its inputs, not their k^2-fold columns. The local attention core reads its
+neighbourhoods through im2col and col2im too. Adaptive pooling is one op,
+rows @ x @ cols^T with averaging matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
 norm scales to 1 and shifts to 0. Convolutions use the cross-correlation
@@ -262,19 +267,40 @@ def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
 
 
 def _conv_weight_grad(x: np.ndarray, gm: np.ndarray, plan: _Plan) -> np.ndarray:
-    """g @ im2col(x)^T summed over the batch, [G,out/G,(C/G)*kh*kw], from the
-    full columns: splitting that sum over pixel blocks would change its
-    float order."""
-    return np.matmul(gm, _columns(x, plan).swapaxes(-1, -2)).sum(axis=0)
+    """g @ im2col(x)^T summed over the batch, [G,out/G,(C/G)*kh*kw], from gm
+    [B,G,out/G,OH*OW]: each of the forward's output-row blocks builds its
+    columns and adds its product, so one block's columns are alive at a
+    time. A one-block conv runs the whole-map matmul; more blocks sum the
+    pixels in another order."""
+    ow, bounds = plan.ow, plan.bounds
+    parts = (np.matmul(gm[..., r0 * ow:r1 * ow], _columns(x, plan, (r0, r1)).swapaxes(-1, -2))
+             for r0, r1 in zip(bounds, bounds[1:]))
+    gw = next(parts)
+    for part in parts:
+        gw += part
+    return gw.sum(axis=0)
+
+
+def _flipped_conv_input_grad(g: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
+    """x's gradient of a stride-1 conv as a stride-1 conv of g [B,out,OH,OW]:
+    with padding k-1-p, by W with both tap axes reversed and transposed
+    within each group, so it runs in the forward's row blocks. For k = 1
+    that kernel is a view of W^T, the operand `Linear` multiplies by."""
+    groups, (_, _, k, _), p = plan.groups, plan.w_shape, plan.padding
+    out_ch, cg = weight.shape[:2]
+    wf = weight.reshape(groups, out_ch // groups, cg, k, k)[..., ::-1, ::-1].swapaxes(1, 2)
+    flipped = _plan(g.shape, (groups * cg, out_ch // groups, k, k), 1, k - 1 - p, groups)
+    return _conv_forward(g, wf.reshape(groups, cg, -1), flipped)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation over [B,C,H,W] with weight [out,in/groups,kh,kw] as
     one op, W @ im2col(x) + b in blocks of output rows (`_conv_forward`). The
-    node keeps only x, W and b. The backward gives b as g summed, x by
-    `_conv_input_grad`, and W by `_conv_weight_grad`, whose columns it
-    rebuilds from x only when W needs a gradient."""
+    node keeps only x, W and b. The backward gives b as g summed, W by
+    `_conv_weight_grad`, whose columns it rebuilds from x only when W needs a
+    gradient, and x by `_flipped_conv_input_grad` at stride 1, otherwise by
+    `_conv_input_grad`."""
     plan = _plan(x.shape, weight.shape, stride, padding, groups)
     out_ch = weight.shape[0]
     wm = weight.data.reshape(groups, out_ch // groups, -1)
@@ -290,7 +316,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
-            x._accumulate(_conv_input_grad(gm, wm.swapaxes(-1, -2), plan), owned=True)
+            if plan.stride == 1 and plan.padding < plan.w_shape[2] == plan.w_shape[3]:
+                gx = _flipped_conv_input_grad(g, weight.data, plan)
+            else:
+                gx = _conv_input_grad(gm, wm.swapaxes(-1, -2), plan)
+            x._accumulate(gx, owned=True)
 
     return Tensor._op(y, (x, weight) if bias is None else (x, weight, bias), bwd)
 

@@ -279,6 +279,24 @@ class TestConv2d:
         x = np.arange(2 * 3 * 3, dtype=np.float64).reshape(1, 2, 3, 3)
         np.testing.assert_array_equal(conv2d(Tensor(x), w, None).data, x)
 
+    @pytest.mark.parametrize("w_shape,padding", [((6, 4, 3, 3), 3), ((6, 4, 3, 5), 1)],
+                             ids=["padding-3", "3x5"])
+    def test_input_gradient_outside_the_flipped_kernel_domain(self, rng, monkeypatch, w_shape,
+                                                             padding):
+        # the flipped kernel's padding k - 1 - p must be >= 0 and the same on
+        # both axes; a wider padding or a non-square kernel folds W^T @ g
+        folds = []
+        fold = layers._conv_input_grad
+        monkeypatch.setattr(layers, "_conv_input_grad", lambda *a: folds.append(a) or fold(*a))
+        x = randt(rng, (2, 4, 5, 6))
+        w, bias = randt(rng, w_shape), randt(rng, (6,))
+
+        def f(_):
+            return _weighted_sum(conv2d(x, w, bias, padding=padding), np.random.default_rng(7))
+
+        assert grad_check(f, [x, w, bias]) < 1e-6
+        assert len(folds) == 1
+
 
 def closure_arrays(fn):
     """Every array a closure holds, also through the functions it holds."""
@@ -288,6 +306,26 @@ def closure_arrays(fn):
             yield v
         elif getattr(v, "__closure__", None):
             yield from closure_arrays(v)
+
+
+def input_grad_oracle(w_np, g, x_shape, stride, padding, groups):
+    """x's gradient of conv2d the long way, W^T @ g per group folded into
+    a zero-padded buffer, and each entry's sum of |terms|: the same fold
+    of |W|^T @ |g|."""
+    b, c, h, w = x_shape
+    out_ch, _, kh, kw = w_np.shape
+    wt = w_np.reshape(groups, out_ch // groups, -1).swapaxes(-1, -2)
+    gm = g.reshape(b, groups, out_ch // groups, -1)
+
+    def fold(wt, gm):
+        cols = np.matmul(wt, gm).reshape(b, c, kh, kw, *g.shape[2:])
+        return padded_scatter_fold(cols, h, w, stride, padding)
+
+    return fold(wt, gm), fold(np.abs(wt), np.abs(gm))
+
+
+MATMUL_FORM_GROUPS = [(4, 6, 1), (4, 6, 2), (4, 4, 4), (4, 8, 4), (4, 2, 2)]
+MATMUL_FORM_IDS = ["dense", "grouped", "depthwise", "depthwise-x2", "one-out-per-group"]
 
 
 class TestConvTape:
@@ -304,45 +342,85 @@ class TestConvTape:
         cols = x.shape[0] * x.shape[1] * k * k * y.shape[2] * y.shape[3]
         assert [a.shape for a in closure_arrays(y._backward) if a.size >= cols] == []
 
-    @pytest.mark.parametrize("train_weight", [True, False])
-    def test_backward_rebuilds_columns_only_for_the_weight_gradient(self, rng, monkeypatch,
-                                                                   train_weight):
+    @pytest.mark.parametrize("train_x", [True, False], ids=["x", "frozen-x"])
+    @pytest.mark.parametrize("train_weight", [True, False], ids=["w", "frozen-w"])
+    def test_backward_builds_x_columns_for_w_and_g_columns_for_x(self, rng, monkeypatch,
+                                                                 train_weight, train_x):
+        # x's columns are built once in the forward, and again only when W
+        # needs a gradient; x's gradient, a stride-1 conv of g, builds g's
+        # columns, and only when x needs one
         conv = Conv2d(4, 6, 3, rng, padding=1, dtype=np.float64)
         conv.weight.requires_grad = train_weight
-        x = randt(rng, (2, 4, 5, 6))
+        x = randt(rng, (2, 4, 5, 6), requires_grad=train_x)
         sources = []
         im2col = layers._im2col
         monkeypatch.setattr(layers, "_im2col", lambda a, *geo: sources.append(a) or im2col(a, *geo))
         y = conv(x)
+        assert len(sources) == 1 and sources[0] is x.data
+        sources.clear()
         _weighted_sum(y, np.random.default_rng(7)).backward()
-        assert len(sources) == 1 + train_weight
-        assert all(a is x.data for a in sources)
+        assert sum(a is x.data for a in sources) == train_weight
+        assert [a.shape for a in sources if a is not x.data] == [y.shape] * train_x
+
+    @pytest.mark.parametrize("side", [128, 256])
+    def test_backward_holds_one_block_of_columns(self, rng, side):
+        # one backward of the desk default's full-resolution 16->16 3x3 conv,
+        # W trained: beyond x's gradient it may hold 1.5 budgets of float32
+        # columns, at any map size. Whole-map columns for W's gradient
+        # peaked at 9.0 and 36.1 MiB at 128 and 256 px; one block at a time,
+        # 1.0 and 0.8 MiB
+        w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, size=(1, 16, side, side)).astype(np.float32),
+                   requires_grad=True)
+        y = conv2d(x, w, None, padding=1)
+        g = rng.uniform(-1, 1, size=y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base - x.grad.nbytes
+        finally:
+            tracemalloc.stop()
+        assert w.grad is not None
+        assert peak <= 1.5 * layers.COL_BUDGET * 4, f"{peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("cin,out_ch,groups", [
-        (4, 6, 1), (4, 6, 2), (4, 4, 4), (4, 8, 4), (4, 2, 2),
-    ], ids=["dense", "grouped", "depthwise", "depthwise-x2", "one-out-per-group"])
+    @pytest.mark.parametrize("cin,out_ch,groups", MATMUL_FORM_GROUPS, ids=MATMUL_FORM_IDS)
     def test_input_gradient_is_the_matmul_form_bit_for_bit(self, rng, cin, out_ch, groups,
                                                            dtype):
-        # with one output channel per group W^T @ g has an inner dimension
-        # of 1 and is formed as a broadcast product; it must give the bits
-        # of the batched matmul, which groups = C with out = 2C still takes
+        # a stride-2 conv folds W^T @ g; with one output channel per group
+        # that product has an inner dimension of 1 and is formed as a
+        # broadcast product, which must give the bits of the batched
+        # matmul that groups = C with out = 2C still takes
+        conv = Conv2d(cin, out_ch, 3, rng, stride=2, padding=1, groups=groups, dtype=dtype)
+        x = Tensor(rng.uniform(-1, 1, size=(2, cin, 5, 6)).astype(dtype), requires_grad=True)
+        y = conv(x)
+        g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
+        y.backward(g)
+        want, _ = input_grad_oracle(conv.weight.data, g, x.shape, 2, 1, groups)
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,out_ch,groups", MATMUL_FORM_GROUPS, ids=MATMUL_FORM_IDS)
+    def test_stride1_input_gradient_is_the_matmul_form_reordered(self, rng, cin, out_ch, groups,
+                                                                 dtype):
+        # stride 1 runs the flipped kernel over g, which sums the same
+        # products as col2im(W^T @ g) in another order
         conv = Conv2d(cin, out_ch, 3, rng, padding=1, groups=groups, dtype=dtype)
         x = Tensor(rng.uniform(-1, 1, size=(2, cin, 5, 6)).astype(dtype), requires_grad=True)
         y = conv(x)
         g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
         y.backward(g)
-        wm = conv.weight.data.reshape(groups, out_ch // groups, -1)
-        gm = g.reshape(2, groups, out_ch // groups, -1)
-        gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(2, cin, 3, 3, 5, 6)
-        np.testing.assert_array_equal(x.grad, _col2im(gcols, 5, 6, 1, 1))
+        assert_reordered_sum(x.grad, *input_grad_oracle(conv.weight.data, g, x.shape, 1, 1,
+                                                         groups))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cin,out_ch,groups", [(64, 32, 1), (8, 16, 2), (8, 8, 8)],
                              ids=["dense", "grouped", "depthwise"])
     def test_pointwise_input_gradient_is_the_fold_path(self, rng, cin, out_ch, groups, dtype):
-        # a 1x1 conv runs the general path, whose one tap folds W^T @ g
-        # into a zeroed map: x's gradient must be exactly that
+        # a 1x1 conv runs the general path, whose flipped kernel is a view
+        # of W^T: x's gradient must be exactly W^T @ g folded into a
+        # zeroed map, which `Linear` gives too
         conv = Conv2d(cin, out_ch, 1, rng, groups=groups, dtype=dtype)
         x = Tensor(rng.uniform(-1, 1, size=(2, cin, 16, 16)).astype(dtype), requires_grad=True)
         y = conv(x)
@@ -371,10 +449,13 @@ class TestConvTape:
                                                              blocks, dtype):
         # y, x's gradient and W's gradient against one im2col matmul over the
         # whole map, its input gradient folded the long way into a padded
-        # buffer. Rows of 77 pixels, not a multiple of 16, and a
-        # matrix-vector conv (depthwise) stay one block; in the last case one
-        # row's columns nearly fill the budget, so every block, the last
-        # included, holds one output row
+        # buffer. y keeps its bits, and so do the stride-2 input gradient and
+        # a one-block W gradient; the stride-1 input gradient (a conv of g)
+        # and a W gradient summed over several blocks reorder their sums.
+        # Rows of 77 pixels, not a multiple of 16, and a matrix-vector conv
+        # (depthwise) stay one block; in the last case one row's columns
+        # nearly fill the budget, so every block, the last included, holds
+        # one output row
         b, c, h, w = shape
         x_np = rng.uniform(-1, 1, size=shape).astype(dtype)
         w_np = rng.uniform(-1, 1, size=(out_ch, c // groups, k, k)).astype(dtype)
@@ -393,13 +474,65 @@ class TestConvTape:
         cols = unfold(Tensor(x_np), k, k, stride, padding, groups).data
         wm = w_np.reshape(groups, out_ch // groups, -1)
         gm = g.reshape(b, groups, out_ch // groups, -1)
-        gcols = np.matmul(wm.swapaxes(-1, -2), gm).reshape(b, c, k, k, oh, ow)
-        for got, want in ((y.data, np.matmul(wm, cols).reshape(g.shape)),
-                          (x.grad, padded_scatter_fold(gcols, h, w, stride, padding)),
-                          (weight.grad, np.matmul(gm, cols.swapaxes(-1, -2)).sum(axis=0)
-                           .reshape(w_np.shape))):
+        gw = np.matmul(gm, cols.swapaxes(-1, -2)).sum(axis=0).reshape(w_np.shape)
+        gw_terms = (np.matmul(np.abs(gm), np.abs(cols).swapaxes(-1, -2)).sum(axis=0)
+                    .reshape(w_np.shape))
+        gx, gx_terms = input_grad_oracle(w_np, g, shape, stride, padding, groups)
+        for got, want, terms in ((y.data, np.matmul(wm, cols).reshape(g.shape), None),
+                                 (x.grad, gx, gx_terms if stride == 1 else None),
+                                 (weight.grad, gw, gw_terms if blocks > 1 else None)):
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            if terms is None:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert_reordered_sum(got, want, terms)
+
+
+class TestFlippedKernelInputGrad:
+    """A stride-1 conv's input gradient is the conv of g, padded k - 1 - p,
+    by W with both tap axes reversed and transposed within each group. It
+    sums the products of col2im(W^T @ g) in another order: within
+    `assert_reordered_sum` of the long-way fold in float32 and float64."""
+
+    @staticmethod
+    def _run(rng, monkeypatch, shape, out_ch, k, padding, groups, dtype):
+        """x's gradient, the fold oracle with its sums of |terms|, and the
+        sources of every im2col call of the backward."""
+        folds, sources = [], []
+        fold, im2col = layers._conv_input_grad, layers._im2col
+        x = Tensor(rng.uniform(-1, 1, size=shape).astype(dtype), requires_grad=True)
+        w_np = rng.uniform(-1, 1, size=(out_ch, shape[1] // groups, k, k)).astype(dtype)
+        y = conv2d(x, Tensor(w_np), None, padding=padding, groups=groups)
+        g = rng.uniform(-1, 1, size=y.shape).astype(dtype)
+        monkeypatch.setattr(layers, "_conv_input_grad", lambda *a: folds.append(a) or fold(*a))
+        monkeypatch.setattr(layers, "_im2col", lambda a, *geo: sources.append(a) or im2col(a, *geo))
+        y.backward(g)
+        assert folds == [] and x.grad.dtype == dtype
+        return x.grad, input_grad_oracle(w_np, g, shape, 1, padding, groups), sources
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,padding", [(k, p) for k in (3, 5) for p in range(k)],
+                             ids=[f"k{k}-p{p}" for k in (3, 5) for p in range(k)])
+    @pytest.mark.parametrize("cin,out_ch,groups", [(4, 6, 1), (4, 6, 2), (4, 4, 4)],
+                             ids=["dense", "grouped", "depthwise"])
+    def test_matches_the_fold(self, rng, monkeypatch, cin, out_ch, groups, k, padding, dtype):
+        got, (want, terms), _ = self._run(rng, monkeypatch, (2, cin, 7, 9), out_ch, k, padding,
+                                          groups, dtype)
+        assert_reordered_sum(got, want, terms)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_extent(self, rng, monkeypatch, dtype):
+        got, (want, terms), _ = self._run(rng, monkeypatch, (1, 8, 130, 77), 8, 5, 2, 1, dtype)
+        assert_reordered_sum(got, want, terms)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_columns_of_g(self, rng, monkeypatch, dtype):
+        # g [2,16,64,64] through a 3x3 kernel takes 2^20 column elements,
+        # four budgets: its columns are built in six blocks of output rows
+        got, (want, terms), sources = self._run(rng, monkeypatch, (2, 16, 64, 64), 16, 3, 1, 1,
+                                                dtype)
+        assert [a.shape for a in sources] == [(2, 16, 64, 64)] * 6
+        assert_reordered_sum(got, want, terms)
 
 
 SCALING_SCRIPT = """
@@ -408,7 +541,7 @@ import numpy as np
 from samaseg.layers import conv2d
 from samaseg.tensor import Tensor
 rng = np.random.default_rng(0)
-w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32))
+w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
 inputs = {s: rng.uniform(-1, 1, size=(1, 16, s, s)).astype(np.float32) for s in (128, 256)}
 best = {s: float("inf") for s in inputs}
 for _ in range(5):
@@ -416,20 +549,20 @@ for _ in range(5):
         x = Tensor(x_np, requires_grad=True)
         t0 = time.perf_counter()
         conv2d(x, w, None, padding=1).sum().backward()
+        w.grad = None
         best[s] = min(best[s], time.perf_counter() - t0)
 print(json.dumps(best[256] / best[128]))
 """
 
 
 class TestWallTimeLinearity:
-    def test_dense_conv_forward_and_input_gradient_grow_linearly_in_pixels(self):
+    def test_dense_conv_forward_and_backward_grow_linearly_in_pixels(self):
         # The desk default's full-resolution 16->16 3x3 conv, forward plus
-        # input gradient (W frozen: its gradient still reads whole columns):
-        # 4x the pixels must cost under 5x the time. Built from whole-map
-        # columns (9 MiB at 128 px, 38 MiB at 256 px, against 2 MiB of L2)
-        # the ratio read 5.7-7.4; in row blocks within the budget, 3.7-4.1.
-        # BLAS runs on one thread in a fresh interpreter, as in the scan's
-        # linearity test.
+        # the x and W gradients: 4x the pixels must cost under 5x the time.
+        # Built from whole-map columns (9 MiB at 128 px, 38 MiB at 256 px,
+        # against 2 MiB of L2) the forward plus x's gradient read 5.7-7.4;
+        # in row blocks within the budget, 3.7-4.1. BLAS runs on one thread
+        # in a fresh interpreter, as in the scan's linearity test.
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                    PYTHONPATH=str(Path(samaseg.__file__).resolve().parent.parent))
@@ -589,7 +722,9 @@ class TestConvTranspose2d:
     def test_blocked_kernels_give_the_whole_map_op_bit_for_bit(self, monkeypatch, shape, out_ch,
                                                                k, stride, padding, blocks,
                                                                dtype):
-        # y and the x, W and b gradients against the whole-map op. The
+        # y and the x, W and b gradients against the whole-map op, byte for
+        # byte but for W's gradient over several blocks, which sums the
+        # blocks' products. The
         # forward folds one block of rows per call; [2,16,64,64] holds 2^19
         # column elements against the 2^18 budget, and 128 px's up2 exactly
         # 2^18, one block. The other shapes are the upsamplers of the overfit
@@ -616,9 +751,15 @@ class TestConvTranspose2d:
         x = Tensor(x_np, requires_grad=True)
         y = whole_map_conv_transpose2d(x, ct.weight, ct.bias, stride, padding)
         y.backward(g)
-        for a, want in zip(got, [y.data, x.grad, ct.weight.grad, ct.bias.grad]):
+        wants = [y.data, x.grad, ct.weight.grad, ct.bias.grad]
+        for a, want in zip(got, wants):
             assert a.dtype == want.dtype and a.shape == want.shape
-            assert a.tobytes() == want.tobytes()
+        for i in (0, 1, 3) if blocks > 1 else (0, 1, 2, 3):
+            assert got[i].tobytes() == wants[i].tobytes()
+        if blocks > 1:
+            gcols = np.abs(_im2col(g, k, k, stride, padding)).reshape(b, out_ch * k * k, h * w)
+            terms = np.matmul(gcols, np.abs(x_np).reshape(b, c, h * w).swapaxes(1, 2)).sum(0)
+            assert_reordered_sum(got[2], wants[2], terms.T.reshape(wants[2].shape))
 
     def test_one_node_and_no_conv2d_call(self, rng, monkeypatch):
         # the op runs conv2d's private kernels: perfbench times calls to

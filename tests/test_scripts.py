@@ -1,14 +1,18 @@
 """Smoke runs of the example scripts as subprocesses: each exits 0 on a
 small input. The ablation grid is the one caller that drives every
 AblationFlags variant through a full training step. The benchmark entry
-writer is checked on canned run output, without running the benchmark."""
+writer is checked on canned run output, without running the benchmark, and
+the A/B timer runs a few pairs of its conv probe."""
 
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -59,3 +63,15 @@ def test_bench_entry_summarises_runs_per_tree():
     assert peak["runs"] == [170.0, 172.0, 171.0, 180.0, 171.5]
     assert entry["trace"]["metrics"] == {"peak_rss_mib": 47.0}
     assert (entry["correct"], entry["attempted"], entry["failed"]) == (False, 60, 1)
+
+
+def test_ab_runs_the_conv_probe_head_against_head():
+    if subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = run_script("ab.py", "--base", "HEAD", "--head", "HEAD", "--probe", "conv",
+                      "--shape", "1,4,16,16", "--out-ch", "4", "--pairs", "4", "--warmup", "1")
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert re.search(r"95% interval \[\S+, \S+\] ms, head faster in \d of 4 pairs$", last), last
+

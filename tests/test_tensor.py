@@ -12,8 +12,9 @@ from scipy.special import expit
 
 from conftest import (contract, div, kept_kib, log, mean, naive_matmul, randt, rsub, sqrt,
                       stored_silu)
-from samaseg.gradcheck import grad_check
-from samaseg.layers import Linear
+from samaseg.gradcheck import grad_check, relative_error
+from samaseg.gradsuite import _weighted_sum
+from samaseg.layers import Conv2d, Linear
 from samaseg.profiler import count_macs
 from samaseg.tensor import Tensor, concat, no_grad, uniform
 
@@ -266,6 +267,51 @@ class TestBackwardNumeric:
             return (x * x).sum()
 
         assert grad_check(f, [a, b]) < 1e-7
+
+
+class TestGradCheckFloor:
+    """Each entry's relative error is floored at 1e-3 of its tensor's largest
+    gradient entry: a small entry beside large ones passes its roundoff,
+    while an error of 1e-5 on a large entry still fails."""
+
+    @staticmethod
+    def _conv_case():
+        rng = np.random.default_rng(0)
+        conv = Conv2d(4, 6, 3, rng, bias=False, dtype=np.float64)
+        x = randt(rng, (2, 4, 5, 6))
+        return x, lambda xs: _weighted_sum(conv(xs[0]), np.random.default_rng(7))
+
+    def test_small_entry_beside_large_ones_passes(self):
+        # entry 64 of x's gradient is 2.39e-5 beside a largest entry of 1.95;
+        # its central difference errs by 4.4e-11, 1.8e-6 of the entry itself
+        x, f = self._conv_case()
+        assert grad_check(f, [x]) < 1e-6
+        flat, h = x.data.reshape(-1), 1e-5
+        orig = flat[64]
+        flat[64] = orig + h
+        fp = float(f([x]).data)
+        flat[64] = orig - h
+        fm = float(f([x]).data)
+        flat[64] = orig
+        assert abs(x.grad.flat[64]) < 1e-4 < 1.9 < np.abs(x.grad).max()
+        assert relative_error(float(x.grad.flat[64]), (fp - fm) / (2 * h)) > 1e-6
+
+    def test_planted_scale_on_a_large_entry_fails(self):
+        # an identity op whose backward scales x's largest gradient entry by
+        # 1 + 1e-5
+        x, f = self._conv_case()
+        f([x]).backward()
+        top = int(np.abs(x.grad).argmax())
+
+        def planted(t):
+            def bwd(g):
+                g = g.copy()
+                g.flat[top] *= 1 + 1e-5
+                t._accumulate(g, owned=True)
+            return Tensor._op(t.data.copy(), (t,), bwd)
+
+        err = grad_check(lambda xs: f([planted(xs[0])]), [x])
+        assert 1e-6 < err < 2e-5, err
 
 
 CONTRACT_CASES = [
