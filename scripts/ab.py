@@ -8,17 +8,19 @@ Example, the previous commit against the working tree:
 --base and --head name git revs: each one's `src/samaseg` is exported with
 `git archive` into a temporary directory and imported under a package name
 of its own. Without --head the working tree's `src/samaseg` is the head.
-BLAS runs on one thread. Pairs alternate their order (base then head, then
-head then base), so neither tree always runs first. The script prints each
-tree's median time, the median of the per-pair differences head - base
-with a bootstrap 95% interval, and in how many pairs the head was faster.
+BLAS runs on one thread. Each tree first runs the probe twice untimed;
+then the pairs run in ABBA order (base then head, then head then base), so
+neither tree always runs first. The script prints each tree's median time,
+the median of the per-pair differences head - base with a bootstrap 95%
+interval, and in how many pairs the head was faster.
 
 Probes:
   overfit  one training step of the overfit recipe (32 px, depths 1,1,1,1,
            batch 2): forward, seg_loss, backward and AdamW
   desk64   one training step of the desk default (64 px, batch 2)
-  conv     conv2d forward plus the x and W gradients at --shape, --out-ch
-           and --k, stride 1, padding k // 2
+  conv     conv2d forward plus the x and W gradients: a 3x3 kernel,
+           stride 1, padding 1, on an input of --shape and --out-ch
+           output channels
 """
 
 import os
@@ -86,17 +88,17 @@ def train_step(pkg: str, size: int, desk: bool):
     return step
 
 
-def conv_step(pkg: str, shape: tuple, out_ch: int, k: int):
+def conv_step(pkg: str, shape: tuple, out_ch: int):
     layers = importlib.import_module(f"{pkg}.layers")
     Tensor = importlib.import_module(f"{pkg}.tensor").Tensor
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, size=(out_ch, shape[1], k, k)).astype(np.float32),
+    w = Tensor(rng.uniform(-1, 1, size=(out_ch, shape[1], 3, 3)).astype(np.float32),
                requires_grad=True)
     g = rng.uniform(-1, 1, size=(shape[0], out_ch, *shape[2:])).astype(np.float32)
 
     def step():
-        layers.conv2d(x, w, None, padding=k // 2).backward(g)
+        layers.conv2d(x, w, None, padding=1).backward(g)
         x.grad = w.grad = None
 
     return step
@@ -105,7 +107,7 @@ def conv_step(pkg: str, shape: tuple, out_ch: int, k: int):
 PROBES = {
     "overfit": lambda pkg, a: train_step(pkg, 32, desk=False),
     "desk64": lambda pkg, a: train_step(pkg, 64, desk=True),
-    "conv": lambda pkg, a: conv_step(pkg, a.shape, a.out_ch, a.k),
+    "conv": lambda pkg, a: conv_step(pkg, a.shape, a.out_ch),
 }
 
 
@@ -128,11 +130,9 @@ def main(argv=None) -> int:
     ap.add_argument("--head", help="git rev of the head tree (default: the working tree)")
     ap.add_argument("--probe", choices=sorted(PROBES), required=True)
     ap.add_argument("--pairs", type=int, default=40)
-    ap.add_argument("--warmup", type=int, default=2, help="untimed calls per tree")
-    ap.add_argument("--shape", type=lambda s: tuple(map(int, s.split(","))), default=(2, 16, 64, 64),
-                    help="conv probe input B,C,H,W")
-    ap.add_argument("--out-ch", type=int, default=16)
-    ap.add_argument("--k", type=int, default=3)
+    ap.add_argument("--shape", type=lambda s: tuple(map(int, s.split(","))),
+                    default=(2, 16, 64, 64), help="conv probe input B,C,H,W")
+    ap.add_argument("--out-ch", type=int, default=16, help="conv probe output channels")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -141,8 +141,8 @@ def main(argv=None) -> int:
         steps = [PROBES[args.probe](load_tree(rev, name, Path(tmp)).__name__, args)
                  for rev, name in ((args.base, "samaseg_ab_base"), (args.head, "samaseg_ab_head"))]
         for step in steps:
-            for _ in range(args.warmup):
-                step()
+            step()
+            step()
         ms = np.zeros((args.pairs, 2))
         for i in range(args.pairs):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
                 steps[side]()
                 ms[i, side] = (time.perf_counter() - t0) * 1e3
     r = compare(ms[:, 0], ms[:, 1])
-    print(f"probe {args.probe}, {r['pairs']} pairs in alternating order, BLAS threads 1")
+    print(f"probe {args.probe}, {r['pairs']} pairs in ABBA order, BLAS threads 1")
     print(f"base  {args.base:<12} median {r['base']:.3f} ms")
     print(f"head  {args.head or 'worktree':<12} median {r['head']:.3f} ms")
     print(f"head - base  median {r['diff']:+.3f} ms ({r['diff'] / r['base']:+.1%}), "

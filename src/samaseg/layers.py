@@ -286,10 +286,10 @@ def _flipped_conv_input_grad(g: np.ndarray, weight: np.ndarray, plan: _Plan) -> 
     with padding k-1-p, by W with both tap axes reversed and transposed
     within each group, so it runs in the forward's row blocks. For k = 1
     that kernel is a view of W^T, the operand `Linear` multiplies by."""
-    groups, (_, _, k, _), p = plan.groups, plan.w_shape, plan.padding
-    out_ch, cg = weight.shape[:2]
+    (out_ch, cg, k, _), groups = plan.w_shape, plan.groups
     wf = weight.reshape(groups, out_ch // groups, cg, k, k)[..., ::-1, ::-1].swapaxes(1, 2)
-    flipped = _plan(g.shape, (groups * cg, out_ch // groups, k, k), 1, k - 1 - p, groups)
+    flipped = _plan(g.shape, (groups * cg, out_ch // groups, k, k), 1, k - 1 - plan.padding,
+                    groups)
     return _conv_forward(g, wf.reshape(groups, cg, -1), flipped)
 
 
@@ -316,6 +316,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
+            # the flipped kernel needs k-1-p >= 0, one padding for both axes
             if plan.stride == 1 and plan.padding < plan.w_shape[2] == plan.w_shape[3]:
                 gx = _flipped_conv_input_grad(g, weight.data, plan)
             else:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import div, log, mean, naive_softmax, rsub
 from test_layers import UNET_POINTWISE
-from samaseg.layers import Conv2d, Linear, conv2d
+from samaseg.layers import COL_BUDGET, Conv2d, Linear, conv2d
 from samaseg.model import (ModelConfig, SamaUNet, _resize_mask_nearest, ds_weights, predict,
                            seg_loss)
 from samaseg.sama import AblationFlags
@@ -445,7 +445,7 @@ def traced_peak_mib(fn) -> float:
 class TestConvMemory:
     # FinalExpand.conv2 of the desk default at 128 px: a 16->16 3x3 conv on a
     # [1,16,128,128] map (1 MiB) whose im2col columns take 9 MiB. Built in
-    # row blocks of at most 1 MiB, forward and input gradient; with the
+    # row blocks of at most 1 MiB, the forward and both gradients; with the
     # whole columns at once the forward peaked at 10.0 MiB and the backward
     # with a frozen W at 11.1 MiB
     def conv_and_input(self):
@@ -468,6 +468,22 @@ class TestConvMemory:
         peak = traced_peak_mib(lambda: y.backward(g))
         assert x.grad is not None and w.grad is None
         assert peak <= 5, f"{peak:.1f} MiB"
+
+    @pytest.mark.parametrize("side", [128, 256])
+    def test_backward_with_w_holds_one_block_of_columns(self, side):
+        # one backward of that conv, W trained, at 128 and 256 px: beyond
+        # x's gradient it may hold 1.5 budgets of float32 columns at any map
+        # size. With W's gradient from whole-map columns it read 9.0 and
+        # 36.1 MiB; one row block at a time, 1.0 and 0.8 MiB
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.uniform(-1, 1, size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, size=(1, 16, side, side)).astype(np.float32),
+                   requires_grad=True)
+        y = conv2d(x, w, None, padding=1)
+        g = rng.uniform(-1, 1, size=y.shape).astype(np.float32)
+        peak = traced_peak_mib(lambda: y._backward(g)) - x.grad.nbytes / 2**20
+        assert w.grad is not None
+        assert peak <= 1.5 * COL_BUDGET * 4 / 2**20, f"{peak:.2f} MiB"
 
     def test_desk_predict_at_256px_peaks_at_most_32_mib(self):
         # with each conv's whole columns at once this read 46.3 MiB

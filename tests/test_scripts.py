@@ -70,7 +70,7 @@ def test_ab_runs_the_conv_probe_head_against_head():
                       capture_output=True).returncode:
         pytest.skip("not a git checkout")
     proc = run_script("ab.py", "--base", "HEAD", "--head", "HEAD", "--probe", "conv",
-                      "--shape", "1,4,16,16", "--out-ch", "4", "--pairs", "4", "--warmup", "1")
+                      "--shape", "1,4,16,16", "--out-ch", "4", "--pairs", "4")
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
     assert re.search(r"95% interval \[\S+, \S+\] ms, head faster in \d of 4 pairs$", last), last
