@@ -21,6 +21,9 @@ Probes:
   conv     conv2d forward plus the x and W gradients: a 3x3 kernel,
            stride 1, padding 1, on an input of --shape and --out-ch
            output channels
+  predict  `predict` of the desk default on one --size image (no tape)
+  attention  one attention branch of --kind (local or global), 4 heads,
+           forward plus backward on an input of --shape
 """
 
 import os
@@ -104,10 +107,38 @@ def conv_step(pkg: str, shape: tuple, out_ch: int):
     return step
 
 
+def predict_step(pkg: str, size: int):
+    model_mod = importlib.import_module(f"{pkg}.model")
+    cfg = importlib.import_module(f"{pkg}.config").desk_default().model
+    model = model_mod.SamaUNet(cfg, np.random.default_rng(0))
+    image = np.random.default_rng(1).uniform(0, 1, size=(1, cfg.in_channels, size, size))
+    image = image.astype(np.float32)
+    return lambda: model_mod.predict(model, image)
+
+
+def attention_step(pkg: str, kind: str, shape: tuple):
+    attention = importlib.import_module(f"{pkg}.attention")
+    Tensor = importlib.import_module(f"{pkg}.tensor").Tensor
+    attn = attention.DiffAggAttention(attention.AttnConfig(channels=shape[1], heads=4), kind,
+                                      np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32), requires_grad=True)
+    g = rng.uniform(-1, 1, size=shape).astype(np.float32)
+
+    def step():
+        attn(x).backward(g)
+        attn.zero_grad()
+        x.grad = None
+
+    return step
+
+
 PROBES = {
     "overfit": lambda pkg, a: train_step(pkg, 32, desk=False),
     "desk64": lambda pkg, a: train_step(pkg, 64, desk=True),
     "conv": lambda pkg, a: conv_step(pkg, a.shape, a.out_ch),
+    "predict": lambda pkg, a: predict_step(pkg, a.size),
+    "attention": lambda pkg, a: attention_step(pkg, a.kind, a.shape),
 }
 
 
@@ -131,8 +162,11 @@ def main(argv=None) -> int:
     ap.add_argument("--probe", choices=sorted(PROBES), required=True)
     ap.add_argument("--pairs", type=int, default=40)
     ap.add_argument("--shape", type=lambda s: tuple(map(int, s.split(","))),
-                    default=(2, 16, 64, 64), help="conv probe input B,C,H,W")
+                    default=(2, 16, 64, 64), help="conv or attention probe input B,C,H,W")
     ap.add_argument("--out-ch", type=int, default=16, help="conv probe output channels")
+    ap.add_argument("--size", type=int, default=128, help="predict probe image side")
+    ap.add_argument("--kind", choices=("local", "global"), default="global",
+                    help="attention probe branch")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")

@@ -21,21 +21,30 @@ the tape holds one node per core instead of a chain of contractions,
 masks, slices and products. The local core contracts the queries with
 im2col's [B,sub-heads,c/2,k^2,HW] key columns over the channel axis, adds
 a cached out-of-bounds mask, and contracts the weights with the value
-columns over the key axis; its backward runs col2im on the column
-gradients. The global core is `_attend_tokens`, two batched matmuls
-around the key softmax on the pooled key and value maps; the pooling
-stays a separate op. Both cores share `_diff_weights` (softmax over the
-keys, then s1 - lam * s2) and its adjoint `_diff_weights_grad`, and
-repeat in order the float operations of the composite
-unfold/contract/softmax chains that the tests keep as oracles, so values
-and gradients match those chains bit for bit. Each returns its
-[B,heads,c,HW] result as the [B,d,H,W] map, so the group norm reads it
-with no reshape node.
+columns over the key axis; its backward folds the column gradients with
+col2im. The global core is `_attend_tokens`, two batched matmuls around
+the key softmax on the pooled key and value maps; the pooling stays a
+separate op. Both cores share `_key_softmax`, `_weights` (s1 - lam * s2)
+and their adjoint `_diff_weights_grad`, and repeat in order the float
+operations of the composite unfold/contract/softmax chains that the tests
+keep as oracles, so values and gradients match those chains bit for bit.
+Each returns its [B,heads,c,HW] result as the [B,d,H,W] map, and the
+branch's epilogue, group norm times (1 - lambda_init) plus the positional
+term, is one normalisation op.
 
-Each core's node keeps its parents and the key softmax s, and nothing
-else of the size of a map: the backward rebuilds the weights from s with
-`_weights`, and the local core's key and value columns from its maps
-with `_im2col`, by the forward's own calls, so they carry its bits.
+Both cores run in blocks of pixels of at most `COL_BUDGET` elements: the
+local core in blocks of map rows whose key columns fit it, built per block
+with `_im2col(rows=...)`, and the token core in blocks of query pixels
+whose logits fit it, whole multiples of `_COL_ALIGN` wide, for which BLAS
+gives the whole product's bits. Nothing of the key axis's size outlives a block, so
+neither a forward nor a node holds a [B,sub-heads,keys,HW] array. The
+node keeps its parents, and the token core its contiguous pooled keys;
+the backward rebuilds the key softmax s over the forward's blocks, by the
+forward's own calls, into one full-length buffer, because the k, v and
+lam gradients of the token core and lam's of the local core sum over
+every pixel in the whole map's order. The local core's k and v gradients
+fold over blocks of input rows with the halo (`_fold_rows`), and each
+block builds its key and value columns again.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import Conv2d, GroupNorm, Linear, Module, _col2im, _im2col, adaptive_avg_pool2d
+from .layers import (_COL_ALIGN, Conv2d, GroupNorm, Linear, Module, _fold_rows, _im2col, _Plan,
+                     _row_blocks, adaptive_avg_pool2d)
 from .profiler import record_macs
 from .tensor import Tensor
 
@@ -79,22 +89,21 @@ class AttnConfig:
         return self.channels // self.heads
 
 
-def _diff_weights(logits: np.ndarray, lam: Tensor | None, heads: int):
-    """Softmax of [B,sub-heads,keys,HW] logits over the keys (axis -2),
-    then `_weights` of it. Overwrites `logits` with the softmax s and
-    returns the weights and s, which the adjoint needs."""
+def _key_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax of [B,sub-heads,keys,HW] logits over the keys (axis -2), in
+    place; returns the softmax s."""
     s = logits
     s -= s.max(axis=-2, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-2, keepdims=True)
-    return _weights(s, lam, heads), s
+    return s
 
 
 def _weights(s: np.ndarray, lam: Tensor | None, heads: int) -> np.ndarray:
     """The [B,heads,keys,HW] weights of the key softmax s: s1 - lam * s2
     when each head has two sub-heads (the differential halves), s itself
-    in plain mode (lam is None). A backward calls it again on the kept s,
-    so it rebuilds the forward's weights bit for bit."""
+    in plain mode (lam is None). A backward calls it again on the rebuilt
+    s, so it rebuilds the forward's weights bit for bit."""
     if lam is None:
         return s
     w = lam.data.reshape(1, heads, 1, 1) * s[:, 1::2]
@@ -103,11 +112,11 @@ def _weights(s: np.ndarray, lam: Tensor | None, heads: int) -> np.ndarray:
 
 
 def _diff_weights_grad(g: np.ndarray, s: np.ndarray, lam: Tensor | None, heads: int):
-    """Adjoint of `_diff_weights` for the weights' gradient g: the logits'
-    gradient s * (g_s - sum(g_s * s)), where g_s is g on the first halves
-    and -lam * g on the second, and lam's gradient (None in plain mode or
-    when lam needs none). A masked key's weight is exactly 0, so its logit
-    gets exactly 0 back."""
+    """Adjoint of `_weights` after `_key_softmax` for the weights' gradient
+    g: the logits' gradient s * (g_s - sum(g_s * s)), where g_s is g on the
+    first halves and -lam * g on the second, and lam's gradient (None in
+    plain mode or when lam needs none). A masked key's weight is exactly 0,
+    so its logit gets exactly 0 back."""
     glam = None
     if lam is not None:
         if lam.requires_grad:
@@ -121,29 +130,56 @@ def _diff_weights_grad(g: np.ndarray, s: np.ndarray, lam: Tensor | None, heads: 
     return gx, glam
 
 
+def _token_softmax(kt: np.ndarray, qs: np.ndarray, scale, out: np.ndarray | None = None):
+    """The key softmax of the queries qs [B,sub,cs,N'] over the keys kt
+    [B,sub,M,cs]: the logits kt @ qs times `scale`, softmaxed over the keys
+    in place, in `out` when given."""
+    logits = np.matmul(kt, qs, out=out)
+    logits *= scale
+    return _key_softmax(logits)
+
+
+def _query_blocks(n: int, row_elems: int) -> list[int]:
+    """Bounds of the query-pixel blocks of a core whose block temporaries
+    take `row_elems` elements per query pixel: widths are whole multiples of
+    `_COL_ALIGN` pixels under `COL_BUDGET` elements, so BLAS gives each
+    block's products the bits of the whole-map product (a width of other
+    than a multiple of `_COL_ALIGN` is one block)."""
+    width = _COL_ALIGN if n % _COL_ALIGN == 0 else n
+    return [r * width for r in _row_blocks(n // width, 1, 1, row_elems * width, 1)[0]]
+
+
 def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads: int) -> Tensor:
     """Differential attention of N queries over M key tokens as one op, two
-    batched matmuls around the key softmax. The inputs are channel-major,
-    batch on axis 0, channels on axis 1 and positions flattened: q reads as
-    [B,sub,cs,N], k as [B,sub,cs,M] and v as [B,heads,cv,M]. lam weights
-    the second half of each head when sub = 2 * heads and is no parent
-    otherwise. Returns q's shape with v's channel count, [B,heads*cv,...]."""
+    batched matmuls around the key softmax, in blocks of query pixels
+    (`_query_blocks`). The inputs are channel-major, batch on axis 0,
+    channels on axis 1 and positions flattened: q reads as [B,sub,cs,N], k
+    as [B,sub,cs,M] and v as [B,heads,cv,M]. lam weights the second half of
+    each head when sub = 2 * heads and is no parent otherwise. Returns q's
+    shape with v's channel count, [B,heads*cv,...]. The node keeps the
+    contiguous pooled keys; the backward rebuilds s over the same blocks
+    into one full-length buffer, since the k, v and lam gradients sum over
+    every query pixel at once."""
     b, dq, dv = q.shape[0], q.shape[1], v.shape[1]
     cs, cv, n, m = dq // sub, dv // heads, q.size // (b * dq), k.size // (b * dq)
     if sub == heads:
         lam = None
     scale = q.dtype.type(1.0 / cs ** 0.5)
+    bounds = _query_blocks(n, b * sub * m)
 
     kt = np.ascontiguousarray(k.data.reshape(b, sub, cs, m).transpose(0, 1, 3, 2))
     qs = q.data.reshape(b, sub, cs, n)
-    logits = np.matmul(kt, qs)                                       # [B,sub,M,N]
-    logits *= scale
-    w, s = _diff_weights(logits, lam, heads)
     vp = v.data.reshape(b, heads, cv, m)
-    out = np.matmul(vp, w)                                           # [B,h,cv,N]
+    out = np.empty((b, heads, cv, n), dtype=q.dtype)
+    for c0, c1 in zip(bounds, bounds[1:]):
+        w = _weights(_token_softmax(kt, qs[..., c0:c1], scale), lam, heads)   # [B,h,M,N']
+        np.matmul(vp, w, out=out[..., c0:c1])                                 # [B,h,cv,N']
     record_macs(b * (dq + dv) * m * n)
 
     def bwd(g):
+        s = np.empty((b, sub, m, n), dtype=kt.dtype)
+        for c0, c1 in zip(bounds, bounds[1:]):
+            _token_softmax(kt, qs[..., c0:c1], scale, out=s[..., c0:c1])
         g = g.reshape(b, heads, cv, n)
         if v.requires_grad:
             w = _weights(s, lam, heads)
@@ -151,6 +187,7 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
             del w
         gw = np.matmul(vp.swapaxes(-1, -2), g)
         glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+        del s, gw
         glogits *= scale
         if k.requires_grad:
             gkt = np.matmul(glogits, qs.swapaxes(-1, -2))            # [B,sub,M,cs]
@@ -163,6 +200,28 @@ def _attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int, heads
 
     return Tensor._op(out.reshape(b, dv, *q.shape[2:]),
                       (q, k, v) if lam is None else (q, k, v, lam), bwd)
+
+
+def _window_columns(x: np.ndarray, groups: int, kk: int, rows: tuple[int, int]) -> np.ndarray:
+    """[B,groups,c,k^2,R*W] zero-padded k x k neighbourhoods of the map x
+    [B,C,H,W] around the pixels of rows [r0, r1), from `_im2col`."""
+    cols = _im2col(x, kk, kk, 1, kk // 2, rows)
+    return cols.reshape(x.shape[0], groups, -1, kk * kk, cols.shape[-2] * x.shape[-1])
+
+
+def _window_softmax(q: np.ndarray, k: np.ndarray, sub: int, kk: int, rows: tuple[int, int],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The key softmax of the queries of rows [r0, r1) of the map q
+    [B,d,H,W] over their k x k neighbourhoods in k, [B,sub,k^2,R*W]: q
+    contracted with the key columns over the channels, scaled, plus the
+    mask bias, softmaxed over the keys in place, in `out` when given."""
+    b, d, h, w = q.shape
+    cs, (r0, r1) = d // sub, rows
+    qs = q.reshape(b, sub, cs, 1, h * w)[..., r0 * w:r1 * w]
+    logits = np.sum(qs * _window_columns(k, sub, kk, rows), axis=2, out=out)
+    logits *= q.dtype.type(1.0 / cs ** 0.5)
+    logits += _mask_bias(h, w, kk, q.dtype)[:, r0 * w:r1 * w]
+    return _key_softmax(logits)
 
 
 def _neighborhood_mask(h: int, w: int, k: int) -> np.ndarray:
@@ -210,50 +269,58 @@ class DiffAggAttention(Module):
         else:
             attn_map = self._global_attend(q, k_map, v_map)
 
-        out = self.gn(attn_map) * (1.0 - self.cfg.lambda_init) + pe
-        return self.wo(out)
+        return self.wo(self.gn(attn_map, 1.0 - self.cfg.lambda_init, pe))
 
     def _local_attend(self, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
         """Attention over each pixel's zero-padded k x k neighbourhood as one
-        op, read straight from im2col's [B,G,c*k^2,HW] columns of the key and
-        value maps; returns the [B,d,H,W] map. The node keeps the key
-        softmax s and no columns: the backward builds each map's columns
-        again with `_im2col`, and the weights from s, and runs col2im on
-        the column gradients."""
+        op, in blocks of output rows, read straight from `_im2col`'s columns
+        of each block's rows of the key and value maps; returns the
+        [B,d,H,W] map. The node keeps no columns and no softmax: the
+        backward rebuilds s over the same blocks into one full-length
+        buffer, from which lam's gradient sums every pixel, builds each
+        block's columns again, and folds the column gradients over blocks
+        of input rows with the halo (`_fold_rows`)."""
         cfg = self.cfg
         b, d, hh, ww = v_map.shape
         heads, sub, kk, n = cfg.heads, self.sub_heads, cfg.local_window, hh * ww
-        cs, pad = d // sub, kk // 2
         lam = self.lam if sub != heads else None
-        scale = q.dtype.type(1.0 / cs ** 0.5)
-        qs = q.data.reshape(b, sub, cs, 1, n)
+        scale = q.dtype.type(1.0 / (d // sub) ** 0.5)
+        bounds, halo = _row_blocks(hh, kk, 1, b * d * kk * kk * ww, 1)
+        plan = _Plan(v_map.shape, (d, 1, kk, kk), 1, kk // 2, d, hh, ww, bounds, halo)
+        blocks = [(r0, r1, slice(r0 * ww, r1 * ww)) for r0, r1 in zip(bounds, bounds[1:])]
 
-        def columns(t, groups):   # [B,groups,c,k^2,HW] neighbourhoods of t's map
-            return _im2col(t.data, kk, kk, 1, pad).reshape(b, groups, -1, kk * kk, n)
-
-        logits = (qs * columns(k_map, sub)).sum(axis=2)              # [B,sub,k^2,HW]
-        logits *= scale
-        logits += _mask_bias(hh, ww, kk, q.dtype)
-        w, s = _diff_weights(logits, lam, heads)
-        out = (w.reshape(b, heads, 1, kk * kk, n) * columns(v_map, heads)).sum(axis=3)  # [B,h,c,HW]
+        out = np.empty((b, heads, cfg.head_dim, n), dtype=q.dtype)
+        for r0, r1, cols in blocks:
+            w = _weights(_window_softmax(q.data, k_map.data, sub, kk, (r0, r1)), lam, heads)
+            np.sum(w[:, :, None] * _window_columns(v_map.data, heads, kk, (r0, r1)), axis=3,
+                   out=out[..., cols])                                   # [B,h,c,R*W]
         record_macs(2 * b * d * kk * kk * n)
 
         def bwd(g):
+            s = np.empty((b, sub, kk * kk, n), dtype=q.dtype)
+            gw = np.empty((b, heads, kk * kk, n), dtype=q.dtype)
             ge = g.reshape(b, heads, cfg.head_dim, 1, n)
+            for r0, r1, cols in blocks:
+                _window_softmax(q.data, k_map.data, sub, kk, (r0, r1), out=s[..., cols])
+                np.sum(ge[..., cols] * _window_columns(v_map.data, heads, kk, (r0, r1)), axis=2,
+                       out=gw[..., cols])
             if v_map.requires_grad:
-                wr = _weights(s, lam, heads).reshape(b, heads, 1, kk * kk, n)
-                gv = (ge * wr).reshape(b, d, kk, kk, hh, ww)
-                v_map._accumulate(_col2im(gv, hh, ww, 1, pad), owned=True)
-                del wr, gv
-            gw = (ge * columns(v_map, heads)).sum(axis=2)
+                v_map._accumulate(_fold_rows(plan, lambda o0, o1: ge[..., o0 * ww:o1 * ww] * _weights(
+                    s[..., o0 * ww:o1 * ww], lam, heads)[:, :, None], q.dtype), owned=True)
             glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+            del s, gw
             glogits *= scale
             gl = np.expand_dims(glogits, 2)
             if q.requires_grad:
-                q._accumulate((gl * columns(k_map, sub)).sum(axis=3).reshape(q.shape), owned=True)
+                gq = np.empty((b, sub, d // sub, n), dtype=q.dtype)
+                for r0, r1, cols in blocks:
+                    np.sum(gl[..., cols] * _window_columns(k_map.data, sub, kk, (r0, r1)), axis=3,
+                           out=gq[..., cols])
+                q._accumulate(gq.reshape(q.shape), owned=True)
             if k_map.requires_grad:
-                gk = (gl * qs).reshape(b, d, kk, kk, hh, ww)
-                k_map._accumulate(_col2im(gk, hh, ww, 1, pad), owned=True)
+                qs = q.data.reshape(b, sub, d // sub, 1, n)
+                k_map._accumulate(_fold_rows(plan, lambda o0, o1: gl[..., o0 * ww:o1 * ww]
+                                             * qs[..., o0 * ww:o1 * ww], q.dtype), owned=True)
             if glam is not None:
                 lam._accumulate(glam, owned=True)
 

@@ -12,7 +12,9 @@ hand-written backward, so none leaves a chain of reshapes and elementwise
 nodes on the tape. LayerNorm (over axis 1) and GroupNorm (over each group
 of channels and positions) share one normalisation op, whose node keeps
 only the mean and sigma of each group and rebuilds the normalised input in
-its backward; softmax's keeps only its output.
+its backward; it also takes an output scale and an added map, so the
+attention branches' epilogue is the same one op. softmax's node keeps only
+its output.
 
 Convolution arithmetic exists once, as three kernels over one checked
 plan: the forward W @ im2col(x) over channel-major [B,G,(C/G)*kh*kw,OH*OW]
@@ -29,7 +31,8 @@ roles swapped, and never multiplies inserted zeros. A block holds at most
 columns, and blocks are aligned so that BLAS gives every pixel of the
 forward and of the fold the bits of the whole-map matmul; a tape node keeps
 its inputs, not their k^2-fold columns. The local attention core reads its
-neighbourhoods through im2col and col2im too. Adaptive pooling is one op,
+neighbourhoods through im2col in row blocks too, and folds its column
+gradients with the same input-row blocks (`_fold_rows`). Adaptive pooling is one op,
 rows @ x @ cols^T with averaging matrices built once per shape.
 
 Weights are initialized Kaiming-uniform style, uniform(+-sqrt(1/fan_in)),
@@ -115,8 +118,8 @@ class Linear(Module):
 
 
 COL_BUDGET = 2 ** 18
-"""Most im2col column elements one conv block holds: 1 MiB in float32,
-half of a 2 MiB L2."""
+"""Most im2col column elements one conv block holds, and the attention
+cores' block budget: 1 MiB in float32, half of a 2 MiB L2."""
 
 # BLAS computes a trailing part-group of columns, and small matrix products,
 # with other kernels whose sums can round differently, and which kernel a
@@ -187,22 +190,19 @@ def _col2im(cols: np.ndarray, h: int, w: int, s: int, p: int) -> np.ndarray:
     return x
 
 
-def _row_blocks(oh: int, ow: int, k: int, s: int, row_cols: int,
-                row_macs: int) -> tuple[list[int], int]:
-    """Bounds 0 = r_0 < ... < r_n = oh of a conv's output-row blocks, and
-    their halo: the rows after a block that its input-gradient block also
-    reads. Each output row takes `row_cols` column elements and `row_macs`
-    MACs of each matrix product (0 for a matrix-vector product). Columns
-    that fit `COL_BUDGET`, matrix-vector convs and rows of other than a
-    multiple of `_COL_ALIGN` pixels are one block. Otherwise the blocks are
-    as even as can be, and each fits the budget with its halo unless a
-    block that small would do under `_MIN_BLOCK_MACS` MACs, or one row
-    alone does not fit."""
+def _row_blocks(oh: int, k: int, s: int, row_cols: int, min_rows: int) -> tuple[list[int], int]:
+    """Bounds 0 = r_0 < ... < r_n = oh of output-row blocks, and their halo:
+    the rows after a block that its input-gradient block also reads. Each
+    output row takes `row_cols` elements of the block's largest temporaries.
+    Rows that fit `COL_BUDGET` are one block, and so is everything when
+    `min_rows` is 0. Otherwise the blocks are as even as can be, and each
+    fits the budget with its halo unless a block that small would have fewer
+    than `min_rows` rows, or one row alone does not fit."""
     halo = (k - 2) // s + 1
-    if oh * row_cols <= COL_BUDGET or not row_macs or ow % _COL_ALIGN:
+    if oh * row_cols <= COL_BUDGET or not min_rows:
         return [0, oh], halo
     most = max(1, COL_BUDGET // row_cols - halo)
-    n = max(1, min(-(-oh // most), oh // -(-_MIN_BLOCK_MACS // row_macs)))
+    n = max(1, min(-(-oh // most), oh // min_rows))
     return [j * oh // n for j in range(n)] + [oh], halo
 
 
@@ -222,8 +222,11 @@ def _plan(x_shape: tuple, w_shape: tuple, stride: int, padding: int, groups: int
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
                          f"stride {stride}, padding {padding}")
-    bounds, halo = _row_blocks(oh, ow, kh, stride, b * c * kh * kw * ow,
-                               0 if out_ch == groups else out_ch // groups * cg * kh * kw * ow)
+    # matrix-vector convs and rows of other than a multiple of _COL_ALIGN
+    # pixels are one block; blocks do at least _MIN_BLOCK_MACS MACs each
+    row_macs = out_ch // groups * cg * kh * kw * ow
+    min_rows = 0 if out_ch == groups or ow % _COL_ALIGN else -(-_MIN_BLOCK_MACS // row_macs)
+    bounds, halo = _row_blocks(oh, kh, stride, b * c * kh * kw * ow, min_rows)
     return _Plan(x_shape, w_shape, stride, padding, groups, oh, ow, bounds, halo)
 
 
@@ -244,26 +247,39 @@ def _conv_forward(x: np.ndarray, wm: np.ndarray, plan: _Plan) -> np.ndarray:
     return y.reshape(b, -1, plan.oh, ow)
 
 
-def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
-    """col2im(W^T @ g), a fresh [B,C,H,W], from gm [B,G,out/G,OH*OW] and wt
-    [G,(C/G)*kh*kw,out/G], over blocks of input rows: each forms W^T @ g for
-    the output rows whose windows meet it, halo included, and adds each
-    tap's rectangle in tap order, so every pixel sums the same products in
-    the same order as one col2im of the whole map. W^T @ g is a broadcast
-    product when each group has one output channel (an inner dimension of 1)."""
+def _fold_rows(plan: _Plan, block_cols, dtype) -> np.ndarray:
+    """col2im over blocks of input rows, a fresh [B,C,H,W] of `dtype`:
+    `block_cols(o0, o1)` gives the [B,C,kh,kw,o1-o0,OW] columns of output
+    rows [o0, o1), and each input block adds, in tap order, the rectangles
+    of the output rows whose windows meet it, halo included, so every pixel
+    sums the same values in the same order as one col2im of the whole map."""
     (b, c, h, w), (_, _, kh, kw), s, p, _, oh, ow, bounds, halo = plan
     # the input block of output block [r0, r1) starts at the row that r0's
     # last tap reads, which no earlier output row reaches, and ends where the
-    # next one starts, so output rows [r0, r1 + halo) hold every product its
+    # next one starts, so output rows [r0, r1 + halo) hold every value its
     # pixels sum
     edges = [0] + [min(h, max(0, r * s - p + kh - 1)) for r in bounds[1:-1]] + [h]
-    gx = np.zeros(plan.x_shape, dtype=np.result_type(gm, wt))
+    gx = np.zeros(plan.x_shape, dtype=dtype)
     for i0, i1, o0, o1 in zip(edges, edges[1:], bounds, bounds[1:]):
         o1 = min(oh, o1 + halo)
-        gb = gm[..., o0 * ow:o1 * ow]
-        gcols = wt * gb if wt.shape[-1] == 1 else np.matmul(wt, gb)
-        _fold(gx[:, :, i0:i1], gcols.reshape(b, c, kh, kw, o1 - o0, ow), s, p, (i0, i1), (o0, o1))
+        cols = block_cols(o0, o1).reshape(b, c, kh, kw, o1 - o0, ow)
+        _fold(gx[:, :, i0:i1], cols, s, p, (i0, i1), (o0, o1))
     return gx
+
+
+def _conv_input_grad(gm: np.ndarray, wt: np.ndarray, plan: _Plan) -> np.ndarray:
+    """col2im(W^T @ g), a fresh [B,C,H,W], from gm [B,G,out/G,OH*OW] and wt
+    [G,(C/G)*kh*kw,out/G], over blocks of input rows (`_fold_rows`): each
+    forms W^T @ g for the output rows whose windows meet it. W^T @ g is a
+    broadcast product when each group has one output channel (an inner
+    dimension of 1)."""
+    ow = plan.ow
+
+    def block_cols(o0, o1):
+        gb = gm[..., o0 * ow:o1 * ow]
+        return wt * gb if wt.shape[-1] == 1 else np.matmul(wt, gb)
+
+    return _fold_rows(plan, block_cols, np.result_type(gm, wt))
 
 
 def _conv_weight_grad(x: np.ndarray, gm: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -404,9 +420,10 @@ class GroupNorm(Module):
         self.num_groups = num_groups
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, scale: float | None = None, add: Tensor | None = None) -> Tensor:
+        """The group norm of x, times `scale` plus `add` when given."""
         view = (x.shape[0], self.num_groups, -1)
-        return _normalize(x, view, 2, self.gamma, self.beta, self.eps)
+        return _normalize(x, view, 2, self.gamma, self.beta, self.eps, scale, add)
 
 
 class LayerNorm(Module):
@@ -423,8 +440,9 @@ class LayerNorm(Module):
 
 
 def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
-               eps: float) -> Tensor:
-    """x_hat * gamma + beta per channel (axis 1 of x), where x_hat is x
+               eps: float, scale: float | None = None, add: Tensor | None = None) -> Tensor:
+    """x_hat * gamma + beta per channel (axis 1 of x), then times `scale`
+    and plus the map `add` when given, in that order, where x_hat is x
     viewed as `view` minus its mean mu over `axis`, divided by
     sigma = sqrt(var + eps). One op; the tape keeps only mu and sigma, one
     value each per normalised group, and the backward rebuilds x_hat as
@@ -432,7 +450,8 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
 
         g_x = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / sigma,
 
-    with g_hat = g * gamma and the means over `axis` of the view.
+    with g_hat = g * scale * gamma and the means over `axis` of the view;
+    `add` gets g.
     """
     dtype = x.dtype.type
     xv = x.data.reshape(view)
@@ -443,8 +462,14 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
     centered /= sigma
     shape = (1, -1) + (1,) * (x.ndim - 2)
     others = (0,) + tuple(range(2, x.ndim))
+    if scale is not None:
+        scale = dtype(scale)
 
     def bwd(g):
+        if add is not None and add.requires_grad:
+            add._accumulate(g)
+        if scale is not None:
+            g = g * scale
         xh = x.data.reshape(view) - mu
         xh /= sigma
         if gamma.requires_grad:
@@ -460,10 +485,15 @@ def _normalize(x: Tensor, view: tuple, axis: int, gamma: Tensor, beta: Tensor,
             g_hat *= 1.0 / sigma
             x._accumulate(g_hat.reshape(x.shape), owned=True)
 
-    out = centered.reshape(x.shape)   # x_hat, then x_hat * gamma + beta in place
+    out = centered.reshape(x.shape)   # x_hat, then each step in place
     out *= gamma.data.reshape(shape)
     out += beta.data.reshape(shape)
-    return Tensor._op(out, (x, gamma, beta), bwd)
+    if scale is not None:
+        out *= scale
+    if add is not None:
+        out += add.data
+    parents = (x, gamma, beta) if add is None else (x, gamma, beta, add)
+    return Tensor._op(out, parents, bwd)
 
 
 @functools.lru_cache(maxsize=64)

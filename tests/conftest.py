@@ -1,8 +1,9 @@
 """Shared test helpers: seeded tensors, naive reference implementations
-used as independent oracles, and the extra autodiff ops that only the
-oracle chains compose (`div`, `rsub`, `log`, `sqrt`, `mean` and
-`diff_softmax`). The kit never runs those ops, so they live here rather
-than in `samaseg`, and nothing patches them back onto `Tensor`."""
+used as independent oracles, whole-map forms of the blocked ops, and the
+extra autodiff ops that only the oracle chains compose (`div`, `rsub`,
+`log`, `sqrt`, `mean` and `diff_softmax`). The kit never runs those ops,
+so they live here rather than in `samaseg`, and nothing patches them back
+onto `Tensor`."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from samaseg.attention import _attend_tokens
+from samaseg.attention import (_attend_tokens, _diff_weights_grad, _key_softmax, _mask_bias,
+                               _weights)
 from samaseg.layers import _col2im, _im2col
 from samaseg.ssm import _swap_bl
 from samaseg.profiler import record_macs
@@ -184,6 +186,103 @@ def whole_sequence_scan(delta: Tensor, x: Tensor, a: Tensor, bm: Tensor, cm: Ten
                 give(delta, np.einsum("icn,cn->ic", gz, a.data) + gdtx * xt)
 
     return Tensor._op(_swap_bl(y), (delta, x, a, bm, cm), bwd)
+
+
+def _diff_weights(logits: np.ndarray, lam: Tensor | None, heads: int):
+    """The key softmax of the logits, in place, and its weights: returns
+    the weights and s."""
+    s = _key_softmax(logits)
+    return _weights(s, lam, heads), s
+
+
+def whole_map_attend_tokens(q: Tensor, k: Tensor, v: Tensor, lam: Tensor, sub: int,
+                            heads: int) -> Tensor:
+    """The token attention core over the whole map at once, its node
+    keeping the key softmax s. `attention._attend_tokens`, which runs in
+    blocks of query pixels and rebuilds s in its backward, must give y and
+    every input gradient byte for byte."""
+    b, dq, dv = q.shape[0], q.shape[1], v.shape[1]
+    cs, cv, n, m = dq // sub, dv // heads, q.size // (b * dq), k.size // (b * dq)
+    if sub == heads:
+        lam = None
+    scale = q.dtype.type(1.0 / cs ** 0.5)
+
+    kt = np.ascontiguousarray(k.data.reshape(b, sub, cs, m).transpose(0, 1, 3, 2))
+    qs = q.data.reshape(b, sub, cs, n)
+    logits = np.matmul(kt, qs)                                       # [B,sub,M,N]
+    logits *= scale
+    w, s = _diff_weights(logits, lam, heads)
+    vp = v.data.reshape(b, heads, cv, m)
+    out = np.matmul(vp, w)                                           # [B,h,cv,N]
+    record_macs(b * (dq + dv) * m * n)
+
+    def bwd(g):
+        g = g.reshape(b, heads, cv, n)
+        if v.requires_grad:
+            w = _weights(s, lam, heads)
+            v._accumulate(np.matmul(g, w.swapaxes(-1, -2)).reshape(v.shape), owned=True)
+            del w
+        gw = np.matmul(vp.swapaxes(-1, -2), g)
+        glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+        glogits *= scale
+        if k.requires_grad:
+            gkt = np.matmul(glogits, qs.swapaxes(-1, -2))            # [B,sub,M,cs]
+            k._accumulate(np.ascontiguousarray(gkt.transpose(0, 1, 3, 2)).reshape(k.shape),
+                          owned=True)
+        if q.requires_grad:
+            q._accumulate(np.matmul(kt.swapaxes(-1, -2), glogits).reshape(q.shape), owned=True)
+        if glam is not None:
+            lam._accumulate(glam, owned=True)
+
+    return Tensor._op(out.reshape(b, dv, *q.shape[2:]),
+                      (q, k, v) if lam is None else (q, k, v, lam), bwd)
+
+
+def whole_map_local_attend(attn, q: Tensor, k_map: Tensor, v_map: Tensor) -> Tensor:
+    """The local attention core of the branch `attn` over the whole map at
+    once: whole-map key and value columns, its node keeping the key softmax
+    s, and one col2im per column gradient. `DiffAggAttention._local_attend`,
+    which runs in blocks of rows and rebuilds s in its backward, must give
+    y and every input gradient byte for byte."""
+    cfg = attn.cfg
+    b, d, hh, ww = v_map.shape
+    heads, sub, kk, n = cfg.heads, attn.sub_heads, cfg.local_window, hh * ww
+    cs, pad = d // sub, kk // 2
+    lam = attn.lam if sub != heads else None
+    scale = q.dtype.type(1.0 / cs ** 0.5)
+    qs = q.data.reshape(b, sub, cs, 1, n)
+
+    def columns(t, groups):   # [B,groups,c,k^2,HW] neighbourhoods of t's map
+        return _im2col(t.data, kk, kk, 1, pad).reshape(b, groups, -1, kk * kk, n)
+
+    logits = (qs * columns(k_map, sub)).sum(axis=2)              # [B,sub,k^2,HW]
+    logits *= scale
+    logits += _mask_bias(hh, ww, kk, q.dtype)
+    w, s = _diff_weights(logits, lam, heads)
+    out = (w.reshape(b, heads, 1, kk * kk, n) * columns(v_map, heads)).sum(axis=3)  # [B,h,c,HW]
+    record_macs(2 * b * d * kk * kk * n)
+
+    def bwd(g):
+        ge = g.reshape(b, heads, cfg.head_dim, 1, n)
+        if v_map.requires_grad:
+            wr = _weights(s, lam, heads).reshape(b, heads, 1, kk * kk, n)
+            gv = (ge * wr).reshape(b, d, kk, kk, hh, ww)
+            v_map._accumulate(_col2im(gv, hh, ww, 1, pad), owned=True)
+            del wr, gv
+        gw = (ge * columns(v_map, heads)).sum(axis=2)
+        glogits, glam = _diff_weights_grad(gw, s, lam, heads)
+        glogits *= scale
+        gl = np.expand_dims(glogits, 2)
+        if q.requires_grad:
+            q._accumulate((gl * columns(k_map, sub)).sum(axis=3).reshape(q.shape), owned=True)
+        if k_map.requires_grad:
+            gk = (gl * qs).reshape(b, d, kk, kk, hh, ww)
+            k_map._accumulate(_col2im(gk, hh, ww, 1, pad), owned=True)
+        if glam is not None:
+            lam._accumulate(glam, owned=True)
+
+    parents = (q, k_map, v_map) if lam is None else (q, k_map, v_map, lam)
+    return Tensor._op(out.reshape(b, d, hh, ww), parents, bwd)
 
 
 def whole_map_conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None,

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samaseg
-from conftest import contract, diff_softmax, kept_kib, naive_conv2d, naive_softmax, unfold
+from conftest import (contract, diff_softmax, kept_kib, naive_conv2d, naive_softmax, unfold,
+                      whole_map_attend_tokens, whole_map_local_attend)
+from samaseg import attention
 from samaseg.attention import (MASK_BIAS, AttnConfig, DiffAggAttention, _attend_tokens,
-                               _diff_weights, _mask_bias, _neighborhood_mask)
-from samaseg.layers import adaptive_avg_pool2d, softmax
+                               _key_softmax, _mask_bias, _neighborhood_mask, _weights)
+from samaseg.layers import COL_BUDGET, adaptive_avg_pool2d, softmax
 from samaseg.profiler import count_macs
-from samaseg.tensor import Tensor
+from samaseg.tensor import Tensor, no_grad
 
 
 def naive_diff_attention(q, k, v, lam):
@@ -106,11 +109,11 @@ class TestMasking:
         bias[3:] = MASK_BIAS
         lam = Tensor(np.array([0.8]))
 
-        out1 = v @ _diff_weights(logits + bias, lam, heads=1)[0]
+        out1 = v @ _weights(_key_softmax(logits + bias), lam, heads=1)
         logits2, v2 = logits.copy(), v.copy()
         logits2[:, :, 3:] = 1e6
         v2[..., 3:] = -42.0
-        w2 = _diff_weights(logits2 + bias, lam, heads=1)[0]
+        w2 = _weights(_key_softmax(logits2 + bias), lam, heads=1)
         assert np.array_equal(w2[:, :, 3:], np.zeros((1, 1, 2, 3)))
         assert np.array_equal(out1, v2 @ w2)
 
@@ -447,12 +450,122 @@ class TestCoreGraphAndMacs:
             == ["_attend_tokens.<locals>.bwd"]
 
 
+def whole_map_global(attn, q, k_map, v_map):
+    pp = attn.cfg.global_pool
+    return whole_map_attend_tokens(q, adaptive_avg_pool2d(k_map, pp, pp),
+                                   adaptive_avg_pool2d(v_map, pp, pp), attn.lam,
+                                   attn.sub_heads, attn.cfg.heads)
+
+
+def _assert_blocked_matches_whole_map(monkeypatch, kind, use_differential, b, hw, size, dtype):
+    """Runs one blocked core and its whole-map op from conftest on the same
+    inputs, all four needing gradients, asserts y and every gradient byte
+    for byte, and returns the forward's block count: the blocks of each
+    call of the core's softmax helper, which the backward must repeat."""
+    heads, d = 2, 8
+    cfg = AttnConfig(channels=d, heads=heads, local_window=size if kind == "local" else 3,
+                     global_pool=size if kind == "global" else 2,
+                     use_differential=use_differential)
+    attn = DiffAggAttention(cfg, kind, np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(1)
+    arrays = {name: rng.uniform(-2, 2, size=(b, d) + hw).astype(dtype)
+              for name in ("q", "k_map", "v_map")}
+    arrays["lam"] = rng.uniform(0.2, 0.9, size=heads).astype(dtype)
+    seed = rng.standard_normal((b, d) + hw)
+    helper = "_window_softmax" if kind == "local" else "_token_softmax"
+    softmax_of_block = getattr(attention, helper)
+    blocks = []
+
+    def counted(*args, **kwargs):
+        blocks.append(args[-1] if kind == "local" else args[1].shape[-1])
+        return softmax_of_block(*args, **kwargs)
+
+    monkeypatch.setattr(attention, helper, counted)
+    blocked = attn._local_attend if kind == "local" else attn._global_attend
+    whole = whole_map_local_attend if kind == "local" else whole_map_global
+    out, grads = _run_core(blocked, attn, arrays, None, seed)
+    ref, ref_grads = _run_core(lambda *t: whole(attn, *t), attn, arrays, None, seed)
+    assert out.dtype == ref.dtype == dtype and out.tobytes() == ref.tobytes()
+    for name in CORE_INPUTS:
+        if name == "lam" and not use_differential:
+            assert grads[name] is None and ref_grads[name] is None
+            continue
+        assert grads[name].dtype == ref_grads[name].dtype == dtype, name
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    forward = blocks[:len(blocks) // 2]
+    assert blocks == forward + forward        # the backward rebuilds s over the same blocks
+    return len(forward)
+
+
+class TestPixelBlocks:
+    """The cores run in blocks of pixels: rows of the map for the local core,
+    query pixels in whole multiples of 16 for the token core, each block's
+    temporaries under `COL_BUDGET` elements. Against the whole-map ops that
+    they replaced (kept in conftest), y and every input gradient are byte
+    for byte the same, on maps that split into pinned block counts and on
+    an odd extent."""
+
+    # b, map, window -> row blocks of the local core; 130x77 is the odd extent
+    LOCAL = {(1, (130, 77), 3): 3, (1, (130, 77), 5): 10, (2, (40, 48), 3): 2,
+             (2, (40, 48), 5): 5, (2, (3, 5), 3): 1}
+    # b, map, pool, differential -> query blocks of the token core; a map of
+    # other than a multiple of 16 pixels is one block
+    GLOBAL = {(2, (64, 48), 7, True): 5, (2, (64, 48), 7, False): 3,
+              (2, (64, 48), 5, True): 3, (2, (64, 48), 5, False): 2,
+              (1, (130, 77), 7, True): 1, (1, (130, 77), 7, False): 1,
+              (2, (3, 5), 2, True): 1, (2, (3, 5), 2, False): 1}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
+    @pytest.mark.parametrize("case", list(LOCAL), ids=lambda c: f"b{c[0]}-{c[1][0]}x{c[1][1]}-w{c[2]}")
+    def test_local_core_matches_the_whole_map_op(self, monkeypatch, case, use_differential,
+                                                 dtype):
+        b, hw, size = case
+        blocks = _assert_blocked_matches_whole_map(monkeypatch, "local", use_differential, b, hw,
+                                                   size, dtype)
+        assert blocks == self.LOCAL[case]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(GLOBAL),
+                             ids=lambda c: f"b{c[0]}-{c[1][0]}x{c[1][1]}-p{c[2]}-"
+                                           f"{'diff' if c[3] else 'plain'}")
+    def test_token_core_matches_the_whole_map_op(self, monkeypatch, case, dtype):
+        b, hw, size, use_differential = case
+        blocks = _assert_blocked_matches_whole_map(monkeypatch, "global", use_differential, b, hw,
+                                                   size, dtype)
+        assert blocks == self.GLOBAL[case]
+
+    @pytest.mark.parametrize("side", [128, 256])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_no_grad_forward_peak_does_not_grow_with_the_map(self, kind, side):
+        # a [1,16,side,side] float32 map, 4 heads, window 3 or pool 7: beyond
+        # its output a core may hold 2.5 budgets of float32 at any map size.
+        # With the whole map at once the local core read 23.8 and 95.0 MiB
+        # and the token core 36.8 and 147.0 MiB; in blocks 1.9 / 1.6 and
+        # 2.0 / 2.0 MiB
+        attn = DiffAggAttention(AttnConfig(channels=16, heads=4), kind, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        maps = [Tensor(rng.uniform(-1, 1, size=(1, 16, side, side)).astype(np.float32))
+                for _ in range(3)]
+        core = attn._local_attend if kind == "local" else attn._global_attend
+        with no_grad():
+            core(*maps)          # builds the cached mask bias and pooling matrices
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = core(*maps)
+                peak = (tracemalloc.get_traced_memory()[1] - base - out.data.nbytes) / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * COL_BUDGET * 4 / 2**20, f"{peak:.2f} MiB"
+
+
 class TestCoreTape:
-    """What each core's node keeps for its backward: the key softmax s, and
-    for the token core its contiguous pooled keys, but no im2col columns
-    and no differential weights, which the backward rebuilds (the bytewise
-    cases of `TestFusedCores` check that the rebuild gives the same
-    values and gradients)."""
+    """What each core's node keeps for its backward: its parents, and for
+    the token core its contiguous pooled keys, but no key softmax, no
+    im2col columns and no differential weights, which the backward
+    rebuilds (the bytewise cases of `TestFusedCores` and `TestPixelBlocks`
+    check that the rebuild gives the same values and gradients)."""
 
     @staticmethod
     def _maps(dtype, shape=(1, 16, 32, 32)):
@@ -463,30 +576,32 @@ class TestCoreTape:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("size", [3, 5], ids=["window3", "window5"])
     @pytest.mark.parametrize("use_differential", [True, False], ids=["diff", "plain"])
-    def test_local_node_keeps_only_the_softmax(self, use_differential, size, dtype):
-        # with the key and value columns and the weights kept, a [1,16,32,32]
-        # float32 map's node held 1624 / 4503 KiB (differential, windows 3 /
-        # 5) and 1298 / 3602 KiB (plain)
+    def test_local_node_keeps_no_map_sized_array(self, use_differential, size, dtype):
+        # a [1,16,32,32] float32 map's node held 1624 / 4503 KiB
+        # (differential, windows 3 / 5) and 1298 / 3602 KiB (plain) with the
+        # key and value columns and the weights kept, and 290 / 802 KiB
+        # (differential) and 146 / 402 KiB (plain) with the key softmax s
+        # kept; without it 1.3 / 1.4 KiB
         cfg = AttnConfig(channels=16, heads=4, local_window=size,
                          use_differential=use_differential)
         attn = DiffAggAttention(cfg, "local", np.random.default_rng(0), dtype=dtype)
         q, k_map, v_map = self._maps(dtype)
         attn._local_attend(q, k_map, v_map)    # builds the cached mask bias outside the count
-        s_kib = attn.sub_heads * size * size * 32 * 32 * np.dtype(dtype).itemsize / 2**10
-        assert kept_kib(lambda: attn._local_attend(q, k_map, v_map)) <= s_kib + 8
+        assert kept_kib(lambda: attn._local_attend(q, k_map, v_map)) <= 8
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_token_node_keeps_no_differential_weights(self, dtype):
+    def test_token_node_keeps_only_the_pooled_keys(self, dtype):
         # 7x7 pooled tokens for a [1,16,32,32] query map, 4 heads: the node
-        # held 2357 KiB at float32 with the [1,4,49,1024] weights kept
+        # held 2357 KiB at float32 with the [1,4,49,1024] weights kept,
+        # 1573 KiB with the [1,8,49,1024] key softmax s kept, and 4.9 KiB
+        # (the 3.1 KiB of pooled keys among them) without it
         cfg = AttnConfig(channels=16, heads=4, global_pool=7)
         attn = DiffAggAttention(cfg, "global", np.random.default_rng(0), dtype=dtype)
         q, _, _ = self._maps(dtype)
         pk, pv = self._maps(dtype, (1, 16, 7, 7))[:2]
-        item = np.dtype(dtype).itemsize
-        s_kib, kt_kib = 8 * 49 * 32 * 32 * item / 2**10, 16 * 49 * item / 2**10
+        kt_kib = 16 * 49 * np.dtype(dtype).itemsize / 2**10
         kept = kept_kib(lambda: _attend_tokens(q, pk, pv, attn.lam, attn.sub_heads, 4))
-        assert kept <= s_kib + kt_kib + 8
+        assert kept <= kt_kib + 8
 
 
 SCALING_SCRIPT = """

@@ -863,6 +863,37 @@ class TestNorms:
         stats = 2 * (shape[2] * shape[3] if kind == "layer" else 4) * np.dtype(dtype).itemsize
         assert kept_kib(lambda: norm(x)) <= stats / 2**10 + 4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_epilogue_is_the_three_op_chain_bytewise(self, rng, dtype):
+        # an attention branch's epilogue, gn(x) * (1 - lambda_init) + pe, as
+        # one op: x_hat * gamma, + beta, * scale, + pe in that order, so y
+        # and every gradient keep the bits of the three nodes it replaced
+        shape = (2, 8, 5, 7)
+        gn = GroupNorm(8, num_groups=4, dtype=dtype)
+        for p in self._affine(rng, gn):
+            p.data = p.data.astype(dtype)
+        data, pe_data, seed = (rng.uniform(-2, 3, size=shape).astype(dtype) for _ in range(3))
+        runs = []
+        for fused in (True, False):
+            x, pe = Tensor(data, requires_grad=True), Tensor(pe_data, requires_grad=True)
+            y = gn(x, 1.0 - 0.8, pe) if fused else gn(x) * (1.0 - 0.8) + pe
+            y.backward(seed)
+            runs.append([y.data, x.grad, gn.gamma.grad, gn.beta.grad, pe.grad])
+            gn.zero_grad()
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_epilogue_gradients(self, rng):
+        gn = GroupNorm(6, num_groups=2, dtype=np.float64)
+        params = self._affine(rng, gn)
+        x, pe = randt(rng, (2, 6, 3, 4), lo=-2, hi=3), randt(rng, (2, 6, 3, 4))
+        weight = Tensor(rng.standard_normal((2, 6, 3, 4)))
+
+        def f(_):
+            return (gn(x, 0.3, pe) * weight).sum()
+
+        assert grad_check(f, [x, pe] + params) < 1e-6
+
     def test_layernorm_statistics(self, rng):
         ln = LayerNorm(5, dtype=np.float64)
         x = rng.uniform(-2, 2, size=(2, 5, 3, 3))

@@ -2,7 +2,7 @@
 small input. The ablation grid is the one caller that drives every
 AblationFlags variant through a full training step. The benchmark entry
 writer is checked on canned run output, without running the benchmark, and
-the A/B timer runs a few pairs of its conv probe."""
+the A/B timer runs a few pairs of its conv, predict and attention probes."""
 
 import importlib.util
 import json
@@ -75,3 +75,18 @@ def test_ab_runs_the_conv_probe_head_against_head():
     last = proc.stdout.splitlines()[-1]
     assert re.search(r"95% interval \[\S+, \S+\] ms, head faster in \d of 4 pairs$", last), last
 
+
+
+@pytest.mark.parametrize("probe", [["predict", "--size", "32"],
+                                   ["attention", "--kind", "local", "--shape", "1,8,16,16"],
+                                   ["attention", "--kind", "global", "--shape", "1,8,16,16"]],
+                         ids=["predict", "attention-local", "attention-global"])
+def test_ab_runs_the_predict_and_attention_probes(probe):
+    if subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = run_script("ab.py", "--base", "HEAD", "--head", "HEAD", "--probe", *probe,
+                      "--pairs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"probe {probe[0]}, 2 pairs"), proc.stdout
+    assert "head faster in" in proc.stdout.splitlines()[-1]

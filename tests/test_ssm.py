@@ -395,7 +395,7 @@ ssm = SelectiveSsm(16, 8, np.random.default_rng(0))
 data_rng = np.random.default_rng(1)
 inputs = {l: data_rng.uniform(-1, 1, size=(8, l, 16)).astype(np.float32) for l in (256, 1024)}
 best = {l: float("inf") for l in inputs}
-for _ in range(5):
+for _ in range(30):
     for l, x_np in inputs.items():
         x = Tensor(x_np)
         t0 = time.perf_counter()
@@ -434,7 +434,9 @@ class TestWallTimeLinearity:
         # L2 at both lengths, and the fixed per-call copies weigh less at
         # the longer one, so the ratio read 2.8-3.5 in 14 runs on a 2-vCPU
         # host; building exp(delta A) and h for the whole sequence (4 MiB
-        # each at 1024 steps) read 4.2-6.3. The forward plus backward gets
+        # each at 1024 steps) read 4.2-6.3. The best of 30 interleaved
+        # rounds, not 5: ten fresh interpreters read 2.58-4.80 with 5
+        # rounds and 3.38-3.53 with 25 on the same host. The forward plus backward gets
         # no such bound: at [4,L,16] and 1024 -> 4096 steps its ratio read
         # 3.7-4.1 for the whole-sequence scan and 4.4-6.7 in blocks, which
         # speed up the shorter scan (15-21 -> 11-19 ms) more than the
