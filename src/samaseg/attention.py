@@ -21,30 +21,27 @@ the tape holds one node per core instead of a chain of contractions,
 masks, slices and products. The local core contracts the queries with
 im2col's [B,sub-heads,c/2,k^2,HW] key columns over the channel axis, adds
 a cached out-of-bounds mask, and contracts the weights with the value
-columns over the key axis; its backward folds the column gradients with
-col2im. The global core is `_attend_tokens`, two batched matmuls around
-the key softmax on the pooled key and value maps; the pooling stays a
-separate op. Both cores share `_key_softmax`, `_weights` (s1 - lam * s2)
-and their adjoint `_diff_weights_grad`, and repeat in order the float
-operations of the composite unfold/contract/softmax chains that the tests
-keep as oracles, so values and gradients match those chains bit for bit.
-Each returns its [B,heads,c,HW] result as the [B,d,H,W] map, and the
-branch's epilogue, group norm times (1 - lambda_init) plus the positional
-term, is one normalisation op.
+columns over the key axis. The global core is `_attend_tokens`, two
+batched matmuls around the key softmax on the pooled key and value maps;
+the pooling stays a separate op. Both cores share `_key_softmax`,
+`_weights` (s1 - lam * s2) and their adjoint `_diff_weights_grad`, and
+repeat in order the float operations of the composite
+unfold/contract/softmax chains that the tests keep as oracles, so values
+and gradients match those chains bit for bit. Each returns the [B,d,H,W]
+map, and the branch's epilogue, group norm times (1 - lambda_init) plus
+the positional term, is one normalisation op.
 
 Both cores run in blocks of pixels of at most `COL_BUDGET` elements: the
-local core in blocks of map rows whose key columns fit it, built per block
-with `_im2col(rows=...)`, and the token core in blocks of query pixels
-whose logits fit it, whole multiples of `_COL_ALIGN` wide, for which BLAS
-gives the whole product's bits. Nothing of the key axis's size outlives a block, so
-neither a forward nor a node holds a [B,sub-heads,keys,HW] array. The
-node keeps its parents, and the token core its contiguous pooled keys;
-the backward rebuilds the key softmax s over the forward's blocks, by the
-forward's own calls, into one full-length buffer, because the k, v and
-lam gradients of the token core and lam's of the local core sum over
-every pixel in the whole map's order. The local core's k and v gradients
-fold over blocks of input rows with the halo (`_fold_rows`), and each
-block builds its key and value columns again.
+local core in blocks of map rows, with `_im2col(rows=...)`, and the token
+core in blocks of query pixels, whole multiples of `_COL_ALIGN` wide, for
+which BLAS gives the whole product's bits. Nothing of the key axis's size
+outlives a block, and no node keeps the key softmax s: the backward
+rebuilds it over the forward's blocks, by the forward's own calls, into
+one full-length buffer, because the k, v and lam gradients of the token
+core and lam's of the local core sum over every pixel in the whole map's
+order. The local core's k and v gradients fold over blocks of input rows
+with the halo (`_fold_rows`); the token core's node keeps its contiguous
+pooled keys.
 """
 
 from __future__ import annotations

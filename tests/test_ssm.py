@@ -436,10 +436,10 @@ class TestWallTimeLinearity:
         # host; building exp(delta A) and h for the whole sequence (4 MiB
         # each at 1024 steps) read 4.2-6.3. The best of 30 interleaved
         # rounds, not 5: ten fresh interpreters read 2.58-4.80 with 5
-        # rounds and 3.38-3.53 with 25 on the same host. The forward plus backward gets
-        # no such bound: at [4,L,16] and 1024 -> 4096 steps its ratio read
-        # 3.7-4.1 for the whole-sequence scan and 4.4-6.7 in blocks, which
-        # speed up the shorter scan (15-21 -> 11-19 ms) more than the
-        # longer one, whose backward also rebuilds every block.
+        # rounds and 3.31-3.38 with 30 on the same host. The forward plus
+        # backward gets no such bound: at [4,L,16] and 1024 -> 4096 steps
+        # its ratio read 3.7-4.1 for the whole-sequence scan and 4.4-6.7 in
+        # blocks, which speed up the shorter scan (15-21 -> 11-19 ms) more
+        # than the longer one, whose backward also rebuilds every block.
         ratio = run_fresh(NO_GRAD_SCALING_SCRIPT)
         assert ratio < 4.0, ratio
